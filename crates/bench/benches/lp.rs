@@ -1,9 +1,9 @@
-//! LP substrate performance: revised simplex vs the reference tableau on
+//! LP substrate performance: the crashing form vs the literal LP (9) on
 //! allotment LPs of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtsp_core::allotment::{solve_allotment, solve_allotment_direct};
-use mtsp_lp::SolverOptions;
+use mtsp_core::allotment::{solve_allotment_direct, solve_allotment_with, AllotmentRequest};
+use mtsp_lp::{SolveContext, SolverOptions};
 use mtsp_model::generate::{random_instance, CurveFamily, DagFamily};
 
 fn bench_allotment_lp(c: &mut Criterion) {
@@ -14,7 +14,13 @@ fn bench_allotment_lp(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("crashing_form", format!("n{n}_m{m}")),
             &ins,
-            |b, ins| b.iter(|| solve_allotment(ins, &SolverOptions::default()).unwrap()),
+            |b, ins| {
+                b.iter(|| {
+                    let req = AllotmentRequest::default();
+                    let opts = SolverOptions::default();
+                    solve_allotment_with(&mut SolveContext::new(), ins, req, &opts).unwrap()
+                })
+            },
         );
         if n <= 50 {
             g.bench_with_input(
@@ -27,31 +33,5 @@ fn bench_allotment_lp(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_presolve(c: &mut Criterion) {
-    use mtsp_lp::{solve_presolved, Lp, Relation};
-    // A bound-heavy LP where presolve strips many singleton rows.
-    let build = || {
-        let mut lp = Lp::minimize();
-        let vars: Vec<_> = (0..120)
-            .map(|i| lp.add_var(0.0, 10.0, ((i % 7) as f64) - 3.0))
-            .collect();
-        for (i, &v) in vars.iter().enumerate() {
-            lp.add_row(&[(v, 1.0)], Relation::Le, 5.0 + (i % 3) as f64);
-        }
-        for w in vars.windows(4).step_by(3) {
-            let coeffs: Vec<_> = w.iter().map(|&v| (v, 1.0)).collect();
-            lp.add_row(&coeffs, Relation::Le, 12.0);
-        }
-        lp
-    };
-    let lp = build();
-    let mut g = c.benchmark_group("presolve");
-    g.bench_function("raw_solve", |b| b.iter(|| lp.solve().unwrap()));
-    g.bench_function("presolved_solve", |b| {
-        b.iter(|| solve_presolved(&lp, &SolverOptions::default()).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_allotment_lp, bench_presolve);
+criterion_group!(benches, bench_allotment_lp);
 criterion_main!(benches);

@@ -4,9 +4,10 @@
 //! reference tableau — on chain, diamond (fork–join) and layered DAGs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtsp_core::allotment::solve_allotment_bisection;
+use mtsp_core::allotment::{solve_allotment_with, AllotmentRequest, AllotmentResult, Phase1};
 use mtsp_lp::{tableau, Lp, Relation, SolveContext, SolverOptions, VarId};
 use mtsp_model::generate::{random_instance, CurveFamily, DagFamily};
+use mtsp_model::Instance;
 
 /// Edge list of a synthetic DAG family.
 fn edges(family: &str, n: usize) -> Vec<(usize, usize)> {
@@ -135,6 +136,15 @@ fn bench_warm_vs_cold_resolve(c: &mut Criterion) {
     g.finish();
 }
 
+/// One full bisection phase 1 on a fresh context.
+fn bisection(ins: &Instance, opts: &SolverOptions) -> AllotmentResult {
+    let req = AllotmentRequest {
+        method: Phase1::Bisection,
+        ..AllotmentRequest::default()
+    };
+    solve_allotment_with(&mut SolveContext::new(), ins, req, opts).unwrap()
+}
+
 fn bench_bisection_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("bisection_pipeline");
     g.sample_size(10);
@@ -150,10 +160,10 @@ fn bench_bisection_pipeline(c: &mut Criterion) {
     ] {
         let ins = random_instance(dag, CurveFamily::Mixed, n, m, 42);
         g.bench_with_input(BenchmarkId::new("warm", name), &ins, |b, ins| {
-            b.iter(|| solve_allotment_bisection(ins, &warm, 1e-7).unwrap())
+            b.iter(|| bisection(ins, &warm))
         });
         g.bench_with_input(BenchmarkId::new("cold", name), &ins, |b, ins| {
-            b.iter(|| solve_allotment_bisection(ins, &cold, 1e-7).unwrap())
+            b.iter(|| bisection(ins, &cold))
         });
     }
     g.finish();

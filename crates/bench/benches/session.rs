@@ -1,14 +1,15 @@
 //! Online session economics: warm epoch re-planning vs cold re-solving.
 //!
-//! The acceptance target of the session subsystem is visible here: a full
-//! arrival-scenario replay whose epochs re-plan through one long-lived
-//! warm `SolveContext` must measurably beat the same replay rebuilding a
-//! cold context every epoch — with `Phase1::Bisection` each epoch's
-//! deadline sweep additionally warm-starts probe-to-probe from the
-//! previous basis (the axis measured at 3–9x for the batch pipeline in
-//! `lp_warmstart.rs`). Both variants produce byte-identical plans
-//! (asserted in the session and replay test suites), so the delta is pure
-//! re-plan latency.
+//! A full arrival-scenario replay whose epochs re-plan with dual-simplex
+//! warm starts on must measurably beat the same replay with every solve
+//! cold (`warm_start = false`) — with `Phase1::Bisection` each epoch's
+//! deadline sweep warm-starts probe-to-probe from the previous basis (the
+//! axis measured at 3–9x for the batch pipeline in `lp_warmstart.rs`).
+//! Sessions always carry the suffix LP across structure-preserving
+//! epochs; the rebuild-every-epoch baseline is the `mtsp audit` probe
+//! `measure_epoch_reuse_speedup`. Both variants produce byte-identical
+//! plans (asserted in the session and replay test suites), so the delta
+//! is pure re-plan latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtsp_core::two_phase::{JzConfig, Phase1};
@@ -29,10 +30,9 @@ fn scenario(n: usize, m: usize) -> Scenario {
     )
 }
 
-/// `warm = true`: one long-lived context, dual-simplex warm starts on
-/// (every bisection probe restarts from the previous basis). `warm =
-/// false`: fresh context per epoch and `warm_start = false` — every probe
-/// a full cold solve, the from-scratch re-solve baseline.
+/// `warm = true`: dual-simplex warm starts on (every bisection probe
+/// restarts from the previous basis). `warm = false`: `warm_start =
+/// false` — every probe a full cold solve.
 fn cfg(phase1: Phase1, warm: bool) -> ReplayConfig {
     ReplayConfig {
         session: SessionConfig {
@@ -44,8 +44,6 @@ fn cfg(phase1: Phase1, warm: bool) -> ReplayConfig {
                 },
                 ..JzConfig::default()
             },
-            reuse_context: warm,
-            reuse_epoch_lp: warm,
         },
         noise: NoiseModel::Uniform { epsilon: 0.1 },
         seed: 7,
@@ -74,9 +72,9 @@ fn bench_epoch_replans(c: &mut Criterion) {
     g.finish();
 }
 
-/// Isolates the re-plan itself (no dispatch, no noise): one warm session
-/// absorbing an arrival stream epoch by epoch vs a cold context rebuilt
-/// for every epoch — the serving-loop hot path.
+/// Isolates the re-plan itself (no dispatch, no noise): one session
+/// absorbing an arrival stream epoch by epoch, warm vs cold solves — the
+/// serving-loop hot path.
 fn bench_replan_only(c: &mut Criterion) {
     let mut g = c.benchmark_group("session_replan_only");
     g.sample_size(10);
@@ -115,12 +113,12 @@ fn bench_replan_only(c: &mut Criterion) {
 /// Large-n noise-only re-plans: all tasks arrive (with edges) at time
 /// zero, the session plans once and starts the first task, then absorbs
 /// repeated pure-noise re-plans at advancing clocks — the serving-loop
-/// shape where cross-epoch LP reuse pays. Warm keeps the suffix LP
-/// loaded between epochs (rhs re-aim + warm continuation); cold rebuilds
-/// context and LP every epoch. These entries are for manual perf passes
-/// (CI compiles them via `cargo bench --no-run`); the `mtsp audit` gate
-/// enforces the same comparison continuously as a deterministic
-/// pivot-work floor (`perf_floor_epoch_reuse_speedup`).
+/// shape where cross-epoch LP reuse pays. Both sides keep the suffix LP
+/// loaded between epochs (rhs re-aim); warm continues from the previous
+/// basis, cold re-solves every probe from scratch. These entries are for
+/// manual perf passes (CI compiles them via `cargo bench --no-run`); the
+/// `mtsp audit` gate enforces reuse vs per-epoch rebuild continuously as
+/// a deterministic pivot-work floor (`perf_floor_epoch_reuse_speedup`).
 fn bench_replan_large(c: &mut Criterion) {
     let mut g = c.benchmark_group("session_replan_large");
     g.sample_size(10);

@@ -1,9 +1,13 @@
 //! Phase 1: the allotment linear program (LP (9) of the paper) and the
 //! ρ-rounding of its fractional solution.
 //!
-//! Two equivalent encodings are provided:
+//! Every phase-1 solve goes through one entry point,
+//! [`solve_allotment_with`], driven by an [`AllotmentRequest`]: the
+//! formulation ([`Phase1`]), optional per-task release times, and an
+//! optional cross-epoch [`SuffixLpReuse`] handle. Two formulations share
+//! one row builder:
 //!
-//! * [`solve_allotment`] uses the **crashing form**: the fractional
+//! * [`Phase1::Lp`] solves LP (9) in **crashing form**: the fractional
 //!   processing time of task `j` is
 //!   `x_j = p_j(1) − Σ_k y_{j,k}` with per-segment crash variables
 //!   `y_{j,k} ∈ [0, p_j(k) − p_j(k+1)]`, and the work surrogate is
@@ -15,22 +19,22 @@
 //!   paper uses to prove (7) ≡ (10). It needs only
 //!   `|E| + #sources + n + 2` rows, which keeps the revised simplex basis
 //!   small.
-//! * [`solve_allotment_direct`] is the **literal LP (9)** with explicit
-//!   `x_j`, `w̄_j` variables and one cut row per work-function segment —
-//!   `O(n·m)` rows. It exists to validate the crashing form (tests assert
-//!   equal optima) and for small demonstrations.
+//! * [`Phase1::Bisection`] reproduces the pipeline the paper *replaces*:
+//!   the predecessors' deadline-driven formulation (minimize work subject
+//!   to critical path ≤ B, binary search over B). The paper's Remark in
+//!   Section 3.1 notes that embedding `L` and `W` directly into LP (9)
+//!   "avoid\[s\] the binary search procedure in \[18\]"; having both lets
+//!   the tests confirm they reach the same optimum.
 //!
-//! A third route, [`solve_allotment_bisection`], reproduces the pipeline
-//! the paper *replaces*: the predecessors' deadline-driven formulation
-//! (minimize work subject to critical path ≤ B, binary search over B).
-//! The paper's Remark in Section 3.1 notes that embedding `L` and `W`
-//! directly into LP (9) "avoid\[s\] the binary search procedure in \[18\]";
-//! having both lets the tests confirm they reach the same optimum.
+//! [`solve_allotment_direct`] is the **literal LP (9)** with explicit
+//! `x_j`, `w̄_j` variables and one cut row per work-function segment —
+//! `O(n·m)` rows. It exists to validate the crashing form (tests assert
+//! equal optima) and for small demonstrations.
 //!
-//! Every entry point has a `*_in` variant taking a
-//! [`mtsp_lp::SolveContext`]: the bisection **builds its LP once** and per
-//! probe only moves the deadline (the upper bound of every completion
-//! variable), re-optimizing with the warm-started dual simplex — the
+//! Every solve runs through a caller-supplied [`mtsp_lp::SolveContext`]:
+//! the bisection **builds its LP once** and per probe only moves the
+//! deadline (the upper bound of every completion variable),
+//! re-optimizing with the warm-started dual simplex — the
 //! re-optimization pattern deadline-driven pipelines are made for.
 //! Determinism: the final result is re-derived from the winning deadline
 //! `B*` by a deterministic cold extraction, so it is a pure function of
@@ -44,9 +48,24 @@
 //! an output byte.
 
 use crate::error::CoreError;
-use mtsp_lp::{Lp, Relation, SolveContext, SolverOptions, Status};
+use mtsp_lp::{Lp, Relation, Solution, SolveContext, SolverOptions, Status, VarId};
 use mtsp_model::{Instance, RoundingOutcome, WorkFunction};
 use mtsp_obs::Counter;
+
+/// Which phase-1 formulation to solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Phase1 {
+    /// LP (9) in its compact crashing form — the paper's approach.
+    #[default]
+    Lp,
+    /// The binary-search-over-deadlines pipeline of the predecessors \[18\]
+    /// (converges to the same optimum; see the [module docs](self)).
+    Bisection,
+}
+
+/// Relative bracket width at which the deadline bisection stops: the
+/// search ends once `hi − lo ≤ BISECTION_TOL · (1 + |hi|)`.
+const BISECTION_TOL: f64 = 1e-7;
 
 /// Result of phase 1: the fractional LP optimum.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +92,26 @@ impl AllotmentResult {
     }
 }
 
+/// One phase-1 solve for [`solve_allotment_with`]. The default is the
+/// plain batch solve: crashing form, no releases, LP built from scratch.
+#[derive(Debug, Default)]
+pub struct AllotmentRequest<'a> {
+    /// The formulation to solve.
+    pub method: Phase1,
+    /// Per-task release times `r_j ≥ 0` (one per task, finite), adding
+    /// the constraint `C_j ≥ r_j + x_j` — task `j` cannot start before
+    /// `r_j`. An online planner re-planning at time `t` passes the
+    /// not-yet-started suffix with releases measured relative to `t`:
+    /// frozen (already-running) predecessors and late arrivals become
+    /// release lower bounds, and the optimum `C*max` is a lower bound on
+    /// the *residual* makespan of any plan for the suffix. `None` is the
+    /// same as all zeros.
+    pub releases: Option<&'a [f64]>,
+    /// Cross-epoch reuse handle (see [`SuffixLpReuse`]); `None` builds
+    /// the LP from scratch.
+    pub reuse: Option<&'a mut SuffixLpReuse>,
+}
+
 /// Builds the work functions of all tasks (Assumption 1 is required).
 fn work_functions(ins: &Instance) -> Result<Vec<WorkFunction>, CoreError> {
     ins.profiles()
@@ -84,41 +123,60 @@ fn work_functions(ins: &Instance) -> Result<Vec<WorkFunction>, CoreError> {
         .collect()
 }
 
-/// Solves the allotment LP in crashing form. See the module docs.
-pub fn solve_allotment(ins: &Instance, opts: &SolverOptions) -> Result<AllotmentResult, CoreError> {
-    solve_allotment_in(&mut SolveContext::new(), ins, opts)
-}
-
-/// [`solve_allotment`] through a caller-supplied [`SolveContext`]: the
-/// standard form, basis and scratch buffers are rebuilt in place, so a
-/// long-lived context (one per engine worker) amortizes every allocation
-/// across jobs without changing any output.
+/// The plain crashing-form solve through a caller-supplied
+/// [`SolveContext`]: the default [`AllotmentRequest`]. A long-lived
+/// context (one per engine worker) amortizes every allocation across
+/// jobs without changing any output.
 pub fn solve_allotment_in(
     ctx: &mut SolveContext,
     ins: &Instance,
     opts: &SolverOptions,
 ) -> Result<AllotmentResult, CoreError> {
-    solve_allotment_impl(ctx, ins, None, opts)
+    solve_allotment_with(ctx, ins, AllotmentRequest::default(), opts)
 }
 
-/// The suffix re-solve entry point of the online session loop:
-/// [`solve_allotment_in`] with a per-task **release time** `r_j ≥ 0`
-/// adding the constraint `C_j ≥ r_j + x_j` — task `j` cannot start before
-/// `r_j`. An online planner re-planning at time `t` calls this on the
-/// not-yet-started suffix with releases measured relative to `t`: frozen
-/// (already-running) predecessors and late arrivals become release lower
-/// bounds, and the optimum `C*max` is a lower bound on the *residual*
-/// makespan of any plan for the suffix.
-///
-/// With all releases zero this is exactly [`solve_allotment_in`].
-pub fn solve_allotment_with_releases_in(
+/// Solves phase 1 as `req` asks, through `ctx`. See the module docs for
+/// the formulations and [`SuffixLpReuse`] for the reuse contract; the
+/// result never depends on whether a handle was passed.
+pub fn solve_allotment_with(
     ctx: &mut SolveContext,
     ins: &Instance,
-    releases: &[f64],
+    req: AllotmentRequest<'_>,
     opts: &SolverOptions,
 ) -> Result<AllotmentResult, CoreError> {
-    validate_releases(ins, releases)?;
-    solve_allotment_impl(ctx, ins, Some(releases), opts)
+    let AllotmentRequest {
+        method,
+        releases,
+        reuse,
+    } = req;
+    if let Some(r) = releases {
+        validate_releases(ins, r)?;
+    }
+    let wfs = work_functions(ins)?;
+    let mut handle = reuse.map(|h| (structure_fingerprint(method, ins, &wfs, releases), h));
+    let carried = handle
+        .as_mut()
+        .and_then(|(fingerprint, h)| h.take(*fingerprint, ctx.load_stamp()));
+    let mut model = match carried {
+        Some(mut model) => {
+            ctx.counters_mut().inc(Counter::LpReuses);
+            model.aim_releases(ctx, releases)?;
+            model
+        }
+        None => Phase1Model::build(ins, &wfs, releases, method),
+    };
+    let out = match method {
+        Phase1::Lp => model.solve_crashing(ctx, &wfs, opts)?,
+        Phase1::Bisection => run_bisection(ctx, ins, &wfs, releases, &mut model, opts)?.1,
+    };
+    if let Some((fingerprint, h)) = handle {
+        h.state = Some(ReuseState {
+            fingerprint,
+            stamp: ctx.load_stamp(),
+            model,
+        });
+    }
+    Ok(out)
 }
 
 fn validate_releases(ins: &Instance, releases: &[f64]) -> Result<(), CoreError> {
@@ -135,151 +193,249 @@ fn validate_releases(ins: &Instance, releases: &[f64]) -> Result<(), CoreError> 
     Ok(())
 }
 
-/// The variable/row layout of one crashing-form build — everything needed
-/// to read a solution back out of the solver and to re-aim the release
+/// Release time of task `j` (zero without releases).
+fn release_of(releases: Option<&[f64]>, j: usize) -> f64 {
+    releases.map_or(0.0, |r| r[j])
+}
+
+/// One built phase-1 LP — crashing or deadline form — with everything
+/// needed to solve it, read a solution back out, and re-aim its release
 /// rows in place across epochs (see [`SuffixLpReuse`]).
-#[derive(Debug, Clone)]
-struct CrashingLayout {
-    l: mtsp_lp::VarId,
-    completion: Vec<mtsp_lp::VarId>,
-    /// Per task: `(crash var, work slope)` per work-function segment.
-    crash: Vec<Vec<(mtsp_lp::VarId, f64)>>,
+#[derive(Debug)]
+struct Phase1Model {
+    lp: Lp,
+    /// The makespan `C` and critical path `L` variables of the crashing
+    /// form; `None` in the deadline form, where the deadline lives in the
+    /// completion-variable bounds instead.
+    makespan: Option<(VarId, VarId)>,
+    completion: Vec<VarId>,
+    /// Per task: one crash variable per work-function segment.
+    crash: Vec<Vec<VarId>>,
+    /// `Σ_j W_j(1)`: the work of the all-serial allotment.
+    base_work: f64,
     /// Per task: `Some((row index, p_j(1)))` when the task owns a
     /// release/source row, so its rhs `-(p_j(1) + r_j)` can be moved
     /// without rebuilding. Row indices follow the exact build order.
     release_rows: Vec<Option<(usize, f64)>>,
+    /// Whether the context holds this model: set by its first solve, and
+    /// always true for a model carried over by [`SuffixLpReuse`].
+    loaded: bool,
 }
 
-/// Builds the crashing-form allotment LP (see the module docs) and its
-/// layout. Shared by the one-shot solve path and the cross-epoch reuse
-/// path — both must agree byte-for-byte on the model they produce.
-fn build_crashing_lp(
-    ins: &Instance,
-    wfs: &[WorkFunction],
-    releases: Option<&[f64]>,
-) -> (Lp, CrashingLayout) {
-    let n = ins.n();
-    let m = ins.m();
-    let mut lp = Lp::minimize();
-    let c = lp.add_var(0.0, f64::INFINITY, 1.0);
-    let l = lp.add_var(0.0, f64::INFINITY, 0.0);
-    let completion: Vec<_> = (0..n)
-        .map(|_| lp.add_var(0.0, f64::INFINITY, 0.0))
-        .collect();
+impl Phase1Model {
+    /// The one row builder of both forms. Variables: (`C`, `L` in the
+    /// crashing form), the completions, then the crash variables task by
+    /// task. Rows, task by task: the precedence rows, the release/source
+    /// row, (`C_j ≤ L` in the crashing form); then, in the crashing form
+    /// only, `L ≤ C` and the total-work row. The order is part of the
+    /// output contract: at a degenerate optimum it decides which vertex
+    /// the simplex returns.
+    fn build(
+        ins: &Instance,
+        wfs: &[WorkFunction],
+        releases: Option<&[f64]>,
+        method: Phase1,
+    ) -> Self {
+        let n = ins.n();
+        let crashing = method == Phase1::Lp;
+        let mut lp = Lp::minimize();
+        let makespan = crashing.then(|| {
+            let c = lp.add_var(0.0, f64::INFINITY, 1.0);
+            (c, lp.add_var(0.0, f64::INFINITY, 0.0))
+        });
+        // The deadline form rebinds these bounds to its probe deadline
+        // before every solve.
+        let completion: Vec<_> = (0..n)
+            .map(|_| lp.add_var(0.0, f64::INFINITY, 0.0))
+            .collect();
 
-    // Crash variables and per-task bookkeeping.
-    let mut crash: Vec<Vec<(mtsp_lp::VarId, f64)>> = Vec::with_capacity(n); // (var, slope)
-    let mut base_work = 0.0f64;
-    for wf in wfs {
-        let bps: Vec<(f64, f64, usize)> = wf.breakpoints().collect();
-        base_work += bps[0].1;
-        let mut vars = Vec::with_capacity(bps.len().saturating_sub(1));
-        for w in bps.windows(2) {
-            let (t0, w0, _) = w[0];
-            let (t1, w1, _) = w[1];
-            let len = t0 - t1;
-            let slope = (w1 - w0) / len;
-            vars.push((lp.add_var(0.0, len, 0.0), slope));
+        // Crash variables. The deadline form minimizes the work they add;
+        // the crashing form charges it in the total-work row instead.
+        let mut crash: Vec<Vec<VarId>> = Vec::with_capacity(n);
+        let mut work_terms: Vec<(VarId, f64)> = Vec::new();
+        let mut base_work = 0.0f64;
+        for wf in wfs {
+            let bps: Vec<(f64, f64, usize)> = wf.breakpoints().collect();
+            base_work += bps[0].1;
+            let mut vars = Vec::with_capacity(bps.len().saturating_sub(1));
+            for w in bps.windows(2) {
+                let (t0, w0, _) = w[0];
+                let (t1, w1, _) = w[1];
+                let len = t0 - t1;
+                let slope = (w1 - w0) / len; // work increase per unit crash
+                let y = lp.add_var(0.0, len, if crashing { 0.0 } else { slope });
+                vars.push(y);
+                work_terms.push((y, slope));
+            }
+            crash.push(vars);
         }
-        crash.push(vars);
-    }
 
-    // Precedence rows: C_i + x_j <= C_j, with x_j = p_j(1) - sum_k y_{j,k}:
-    //   C_i - C_j - sum_k y_{j,k} <= -p_j(1).
-    let mut release_rows: Vec<Option<(usize, f64)>> = Vec::with_capacity(n);
-    let mut nrows = 0usize;
-    let mut row: Vec<(mtsp_lp::VarId, f64)> = Vec::new();
-    for j in 0..n {
-        let pj1 = wfs[j].max_time();
-        for &i in ins.dag().preds(j) {
-            row.clear();
-            row.push((completion[i], 1.0));
-            row.push((completion[j], -1.0));
-            for &(y, _) in &crash[j] {
-                row.push((y, -1.0));
+        let mut release_rows: Vec<Option<(usize, f64)>> = Vec::with_capacity(n);
+        let mut nrows = 0usize;
+        let mut row: Vec<(VarId, f64)> = Vec::new();
+        for j in 0..n {
+            let pj1 = wfs[j].max_time();
+            // Precedence rows: C_i + x_j <= C_j, with x_j = p_j(1) - sum_k y_{j,k}:
+            //   C_i - C_j - sum_k y_{j,k} <= -p_j(1).
+            for &i in ins.dag().preds(j) {
+                row.clear();
+                row.push((completion[i], 1.0));
+                row.push((completion[j], -1.0));
+                row.extend(crash[j].iter().map(|&y| (y, -1.0)));
+                lp.add_row(&row, Relation::Le, -pj1);
+                nrows += 1;
             }
-            lp.add_row(&row, Relation::Le, -pj1);
-            nrows += 1;
-        }
-        // Release / source row: r_j + x_j <= C_j (r_j = 0 without
-        // releases; sources always get it, inner tasks only when their
-        // release binds beyond the precedence rows).
-        let rj = releases.map_or(0.0, |r| r[j]);
-        if ins.dag().preds(j).is_empty() || rj > 0.0 {
-            row.clear();
-            row.push((completion[j], -1.0));
-            for &(y, _) in &crash[j] {
-                row.push((y, -1.0));
+            // Release / source row: r_j + x_j <= C_j (r_j = 0 without
+            // releases; sources always get it, inner tasks only when their
+            // release binds beyond the precedence rows).
+            let rj = release_of(releases, j);
+            if ins.dag().preds(j).is_empty() || rj > 0.0 {
+                row.clear();
+                row.push((completion[j], -1.0));
+                row.extend(crash[j].iter().map(|&y| (y, -1.0)));
+                lp.add_row(&row, Relation::Le, -(pj1 + rj));
+                release_rows.push(Some((nrows, pj1)));
+                nrows += 1;
+            } else {
+                release_rows.push(None);
             }
-            lp.add_row(&row, Relation::Le, -(pj1 + rj));
-            release_rows.push(Some((nrows, pj1)));
-            nrows += 1;
-        } else {
-            release_rows.push(None);
+            if let Some((_, l)) = makespan {
+                // C_j <= L.
+                lp.add_row(&[(completion[j], 1.0), (l, -1.0)], Relation::Le, 0.0);
+                nrows += 1;
+            }
         }
-        // C_j <= L.
-        lp.add_row(&[(completion[j], 1.0), (l, -1.0)], Relation::Le, 0.0);
-        nrows += 1;
-    }
-    // L <= C.
-    lp.add_row(&[(l, 1.0), (c, -1.0)], Relation::Le, 0.0);
-    // Total work: sum_j [W_j(1) + sum_k slope * y] <= m C.
-    row.clear();
-    row.push((c, -(m as f64)));
-    for vars in &crash {
-        for &(y, slope) in vars {
-            row.push((y, slope));
+        if let Some((c, l)) = makespan {
+            // L <= C.
+            lp.add_row(&[(l, 1.0), (c, -1.0)], Relation::Le, 0.0);
+            // Total work: sum_j [W_j(1) + sum_k slope * y] <= m C.
+            row.clear();
+            row.push((c, -(ins.m() as f64)));
+            row.extend(work_terms);
+            lp.add_row(&row, Relation::Le, -base_work);
         }
-    }
-    lp.add_row(&row, Relation::Le, -base_work);
-    (
-        lp,
-        CrashingLayout {
-            l,
+        Phase1Model {
+            lp,
+            makespan,
             completion,
             crash,
+            base_work,
             release_rows,
-        },
-    )
-}
+            loaded: false,
+        }
+    }
 
-/// Reads an [`AllotmentResult`] out of an optimal crashing-form solution.
-fn extract_crashing(
-    sol: &mtsp_lp::Solution,
-    wfs: &[WorkFunction],
-    layout: &CrashingLayout,
-) -> AllotmentResult {
-    let x: Vec<f64> = (0..wfs.len())
-        .map(|j| {
-            let crashed: f64 = layout.crash[j].iter().map(|&(y, _)| sol.x[y.index()]).sum();
-            (wfs[j].max_time() - crashed).clamp(wfs[j].min_time(), wfs[j].max_time())
+    /// Moves every release row to `releases`, in the stored model and the
+    /// loaded one alike, so the two never drift apart.
+    fn aim_releases(
+        &mut self,
+        ctx: &mut SolveContext,
+        releases: Option<&[f64]>,
+    ) -> Result<(), CoreError> {
+        for (j, slot) in self.release_rows.iter().enumerate() {
+            if let Some((row, pj1)) = *slot {
+                let rhs = -(pj1 + release_of(releases, j));
+                self.lp.set_row_rhs(row, rhs);
+                ctx.set_rhs(row, rhs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The fractional times `x_j = p_j(1) − Σ_k y_{j,k}` and the
+    /// completion times of a solution of this model.
+    fn read(&self, sol: &Solution, wfs: &[WorkFunction]) -> (Vec<f64>, Vec<f64>) {
+        let x = (0..wfs.len())
+            .map(|j| {
+                let crashed: f64 = self.crash[j].iter().map(|&y| sol.x[y.index()]).sum();
+                (wfs[j].max_time() - crashed).clamp(wfs[j].min_time(), wfs[j].max_time())
+            })
+            .collect();
+        let completion = self.completion.iter().map(|v| sol.x[v.index()]).collect();
+        (x, completion)
+    }
+
+    /// Solves the crashing form: the first solve loads the model, a
+    /// carried-over model re-optimizes in place.
+    fn solve_crashing(
+        &mut self,
+        ctx: &mut SolveContext,
+        wfs: &[WorkFunction],
+        opts: &SolverOptions,
+    ) -> Result<AllotmentResult, CoreError> {
+        let sol = if self.loaded {
+            // Cold re-optimization, deliberately: the crashing form reads
+            // the solution *vector* back out, and at a degenerate optimum
+            // a warm resolve may stop at a different (equally optimal)
+            // vertex than the rebuild path's cold solve — same objective
+            // bits, different allotments after rounding. Reuse here skips
+            // the model construction and load, not the pivots; the
+            // bisection gets the full warm continuation because its
+            // search is vertex-insensitive.
+            let cold = SolverOptions {
+                warm_start: false,
+                ..opts.clone()
+            };
+            ctx.resolve(&cold)?
+        } else {
+            let sol = ctx.solve(&self.lp, opts)?;
+            self.loaded = true;
+            sol
+        };
+        if sol.status != Status::Optimal {
+            return Err(CoreError::BadLpStatus(sol.status));
+        }
+        let (_, l) = self.makespan.expect("crashing-form model");
+        let (x, completion) = self.read(&sol, wfs);
+        let wstar: f64 = x.iter().zip(wfs).map(|(&xj, wf)| wf.eval(xj)).sum();
+        Ok(AllotmentResult {
+            x,
+            cstar: sol.objective,
+            lstar: sol.x[l.index()],
+            wstar,
+            completion,
+            iterations: sol.iterations,
         })
-        .collect();
-    let completion: Vec<f64> = layout.completion.iter().map(|v| sol.x[v.index()]).collect();
-    let wstar: f64 = x.iter().zip(wfs).map(|(&xj, wf)| wf.eval(xj)).sum();
-    AllotmentResult {
-        x,
-        cstar: sol.objective,
-        lstar: sol.x[layout.l.index()],
-        wstar,
-        completion,
-        iterations: sol.iterations,
     }
-}
 
-fn solve_allotment_impl(
-    ctx: &mut SolveContext,
-    ins: &Instance,
-    releases: Option<&[f64]>,
-    opts: &SolverOptions,
-) -> Result<AllotmentResult, CoreError> {
-    let wfs = work_functions(ins)?;
-    let (lp, layout) = build_crashing_lp(ins, &wfs, releases);
-    let sol = ctx.solve(&lp, opts)?;
-    if sol.status != Status::Optimal {
-        return Err(CoreError::BadLpStatus(sol.status));
+    /// Deadline form: the minimum work achievable by `deadline` with its
+    /// `(x, completion)`, or `None` when infeasible (below the all-`m`
+    /// critical path). The first call loads the model into `ctx`; later
+    /// calls only move the completion bounds and resolve — warm-started
+    /// dual simplex from the previous basis when
+    /// [`SolverOptions::warm_start`] is set, a full cold solve of the
+    /// identical model otherwise.
+    #[allow(clippy::type_complexity)]
+    fn solve_at(
+        &mut self,
+        ctx: &mut SolveContext,
+        wfs: &[WorkFunction],
+        deadline: f64,
+        opts: &SolverOptions,
+    ) -> Result<Option<(f64, Vec<f64>, Vec<f64>)>, CoreError> {
+        ctx.counters_mut().inc(Counter::BisectionProbes);
+        let sol = if self.loaded {
+            for &c in &self.completion {
+                ctx.set_var_bounds(c, 0.0, deadline)?;
+            }
+            ctx.resolve(opts)?
+        } else {
+            for &c in &self.completion {
+                self.lp.set_var_bounds(c, 0.0, deadline);
+            }
+            let sol = ctx.solve(&self.lp, opts)?;
+            self.loaded = true;
+            sol
+        };
+        match sol.status {
+            Status::Optimal => {
+                let (x, completion) = self.read(&sol, wfs);
+                Ok(Some((self.base_work + sol.objective, x, completion)))
+            }
+            Status::Infeasible => Ok(None),
+            other => Err(CoreError::BadLpStatus(other)),
+        }
     }
-    Ok(extract_crashing(&sol, &wfs, &layout))
 }
 
 /// Solves the literal LP (9): explicit `x_j`, `w̄_j` and one row per
@@ -329,7 +485,7 @@ pub fn solve_allotment_direct(
         }
     }
     lp.add_row(&[(l, 1.0), (c, -1.0)], Relation::Le, 0.0);
-    let mut row: Vec<(mtsp_lp::VarId, f64)> = vec![(c, -(m as f64))];
+    let mut row: Vec<(VarId, f64)> = vec![(c, -(m as f64))];
     for &w in &wbar {
         row.push((w, 1.0));
     }
@@ -355,196 +511,27 @@ pub fn solve_allotment_direct(
     })
 }
 
-/// The deadline-driven inner LP ("minimum total surrogate work with every
-/// completion time at most `B`"), built **once** per bisection: the
-/// deadline appears only as the upper bound of the completion variables,
-/// so each probe mutates those bounds in place and re-optimizes through
-/// the [`SolveContext`] — warm-started dual simplex from the previous
-/// basis when [`SolverOptions::warm_start`] is set, a full cold solve of
-/// the identical model otherwise.
-#[derive(Debug)]
-struct DeadlineSweep {
-    lp: Lp,
-    completion: Vec<mtsp_lp::VarId>,
-    crash: Vec<Vec<mtsp_lp::VarId>>,
-    base_work: f64,
-    solved_once: bool,
-    /// Per task: `Some((row index, p_j(1)))` when the task owns a
-    /// release/source row — the cross-epoch mutation points (the probe
-    /// deadline itself lives in the completion-variable bounds).
-    release_rows: Vec<Option<(usize, f64)>>,
-}
-
-impl DeadlineSweep {
-    fn build(ins: &Instance, wfs: &[WorkFunction], releases: Option<&[f64]>) -> Self {
-        let n = ins.n();
-        let mut lp = Lp::minimize();
-        // Placeholder bounds: every solve_at rebinds the completion
-        // variables to its probe deadline before solving.
-        let completion: Vec<_> = (0..n)
-            .map(|_| lp.add_var(0.0, f64::INFINITY, 0.0))
-            .collect();
-        let mut crash: Vec<Vec<mtsp_lp::VarId>> = Vec::with_capacity(n);
-        let mut base_work = 0.0f64;
-        for wf in wfs {
-            let bps: Vec<(f64, f64, usize)> = wf.breakpoints().collect();
-            base_work += bps[0].1;
-            let mut vars = Vec::with_capacity(bps.len().saturating_sub(1));
-            for w in bps.windows(2) {
-                let (t0, w0, _) = w[0];
-                let (t1, w1, _) = w[1];
-                let len = t0 - t1;
-                let slope = (w1 - w0) / len; // work increase per unit crash
-                vars.push(lp.add_var(0.0, len, slope));
-            }
-            crash.push(vars);
-        }
-        let mut release_rows: Vec<Option<(usize, f64)>> = Vec::with_capacity(n);
-        let mut nrows = 0usize;
-        let mut row: Vec<(mtsp_lp::VarId, f64)> = Vec::new();
-        for j in 0..n {
-            let pj1 = wfs[j].max_time();
-            for &i in ins.dag().preds(j) {
-                row.clear();
-                row.push((completion[i], 1.0));
-                row.push((completion[j], -1.0));
-                for &y in &crash[j] {
-                    row.push((y, -1.0));
-                }
-                lp.add_row(&row, Relation::Le, -pj1);
-                nrows += 1;
-            }
-            let rj = releases.map_or(0.0, |r| r[j]);
-            if ins.dag().preds(j).is_empty() || rj > 0.0 {
-                row.clear();
-                row.push((completion[j], -1.0));
-                for &y in &crash[j] {
-                    row.push((y, -1.0));
-                }
-                lp.add_row(&row, Relation::Le, -(pj1 + rj));
-                release_rows.push(Some((nrows, pj1)));
-                nrows += 1;
-            } else {
-                release_rows.push(None);
-            }
-        }
-        DeadlineSweep {
-            lp,
-            completion,
-            crash,
-            base_work,
-            solved_once: false,
-            release_rows,
-        }
-    }
-
-    /// Minimum work achievable by `deadline`, or `None` when infeasible
-    /// (below the all-`m` critical path). The first call loads the model
-    /// into `ctx`; later calls only move the completion bounds.
-    #[allow(clippy::type_complexity)]
-    fn solve_at(
-        &mut self,
-        ctx: &mut SolveContext,
-        wfs: &[WorkFunction],
-        deadline: f64,
-        opts: &SolverOptions,
-    ) -> Result<Option<(f64, Vec<f64>, Vec<f64>)>, CoreError> {
-        ctx.counters_mut().inc(Counter::BisectionProbes);
-        let sol = if self.solved_once {
-            for &c in &self.completion {
-                ctx.set_var_bounds(c, 0.0, deadline)?;
-            }
-            ctx.resolve(opts)?
-        } else {
-            for &c in &self.completion {
-                self.lp.set_var_bounds(c, 0.0, deadline);
-            }
-            let sol = ctx.solve(&self.lp, opts)?;
-            self.solved_once = true;
-            sol
-        };
-        match sol.status {
-            Status::Optimal => {
-                let x: Vec<f64> = (0..self.crash.len())
-                    .map(|j| {
-                        let crashed: f64 = self.crash[j].iter().map(|&y| sol.x[y.index()]).sum();
-                        (wfs[j].max_time() - crashed).clamp(wfs[j].min_time(), wfs[j].max_time())
-                    })
-                    .collect();
-                let completion: Vec<f64> =
-                    self.completion.iter().map(|v| sol.x[v.index()]).collect();
-                Ok(Some((self.base_work + sol.objective, x, completion)))
-            }
-            Status::Infeasible => Ok(None),
-            other => Err(CoreError::BadLpStatus(other)),
-        }
-    }
-}
-
-/// The deadline-driven (binary-search) variant of phase 1, faithful to the
-/// pipeline of Lepère–Trystram–Woeginger which the paper's LP (9)
-/// supersedes: bisect the deadline `B` on `max{B, W(B)/m}` using the
-/// monotone non-increasing work curve `W(B)`. Converges to the same
-/// optimum as [`solve_allotment`] (asserted in tests) within `tol`.
-pub fn solve_allotment_bisection(
-    ins: &Instance,
-    opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
-    solve_allotment_bisection_in(&mut SolveContext::new(), ins, opts, tol)
-}
-
-/// [`solve_allotment_bisection`] through a caller-supplied
-/// [`SolveContext`]. The deadline LP is built **once**; every probe of
-/// the binary search only moves the completion-variable upper bounds and
-/// re-optimizes from the previous basis (see [`SolverOptions::warm_start`]
-/// for the cold baseline, which returns bitwise-identical results).
-pub fn solve_allotment_bisection_in(
-    ctx: &mut SolveContext,
-    ins: &Instance,
-    opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
-    solve_allotment_bisection_impl(ctx, ins, None, opts, tol)
-}
-
-/// The bisection counterpart of [`solve_allotment_with_releases_in`]: the
-/// deadline-driven phase 1 over a suffix with per-task release times. The
-/// deadline LP (with its release rows) is built once; every probe of the
-/// binary search warm-resolves from the previous basis — the
-/// re-optimization pattern an epoch re-planning loop leans on.
-pub fn solve_allotment_bisection_with_releases_in(
-    ctx: &mut SolveContext,
-    ins: &Instance,
-    releases: &[f64],
-    opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
-    validate_releases(ins, releases)?;
-    solve_allotment_bisection_impl(ctx, ins, Some(releases), opts, tol)
-}
-
-/// Cross-epoch reuse handle for the release-aware phase-1 entry points.
+/// Cross-epoch reuse handle for [`AllotmentRequest::reuse`].
 ///
 /// An online session that re-plans the same pending suffix repeatedly —
 /// no arrival, no new edge, `m` unchanged, only the release times moved —
 /// solves a sequence of LPs that differ **only in the right-hand sides of
-/// their release rows**. This handle remembers the layout of the last
-/// build together with (a) a fingerprint of every structural input of
-/// that build and (b) the [`SolveContext::load_stamp`] of the load that
-/// still holds it. When a later call presents the same fingerprint to the
-/// same still-loaded context, the release rows are re-aimed in place
+/// their release rows**. This handle remembers the last build together
+/// with (a) a fingerprint of every structural input of that build and
+/// (b) the [`SolveContext::load_stamp`] of the load that still holds it.
+/// When a later request presents the same fingerprint to the same
+/// still-loaded context, the release rows are re-aimed in place
 /// ([`SolveContext::set_rhs`]) and the model re-optimizes without being
 /// rebuilt — counted under [`Counter::LpReuses`] and **bitwise identical**
 /// to a rebuild. What "re-optimizes" means differs by form: the bisection
 /// continues warm from the previous epoch's final basis (its search feeds
 /// only on vertex-insensitive quantities and its extraction is a cold
 /// solve at the winning deadline, so warm continuation cannot change a
-/// byte), while the direct crashing form re-solves cold — its answer *is*
-/// the solution vertex, and at a degenerate optimum a warm resolve may
-/// stop at a different equally-optimal vertex than a rebuild would.
-/// Any mismatch (different structure, a context that was re-loaded by
-/// other work, a solver error) falls back to the full rebuild path, so
+/// byte), while the crashing form re-solves cold — its answer *is* the
+/// solution vertex, and at a degenerate optimum a warm resolve may stop
+/// at a different equally-optimal vertex than a rebuild would. Any
+/// mismatch (different structure or method, a context that was re-loaded
+/// by other work, a solver error) falls back to the full rebuild path, so
 /// results are a pure function of the inputs, never of the handle.
 #[derive(Debug, Default)]
 pub struct SuffixLpReuse {
@@ -561,19 +548,24 @@ impl SuffixLpReuse {
     pub fn clear(&mut self) {
         self.state = None;
     }
+
+    /// Takes the remembered build if it matches `fingerprint` and is
+    /// still the load stamped `stamp`. The handle is empty afterwards
+    /// either way: any early return of the solve leaves it so, and only a
+    /// clean finish re-arms it.
+    fn take(&mut self, fingerprint: u64, stamp: u64) -> Option<Phase1Model> {
+        self.state
+            .take()
+            .filter(|s| s.fingerprint == fingerprint && s.stamp == stamp)
+            .map(|s| s.model)
+    }
 }
 
 #[derive(Debug)]
 struct ReuseState {
     fingerprint: u64,
     stamp: u64,
-    payload: ReusePayload,
-}
-
-#[derive(Debug)]
-enum ReusePayload {
-    Crashing(CrashingLayout),
-    Sweep(DeadlineSweep),
+    model: Phase1Model,
 }
 
 /// One FNV-1a 64 step over the little-endian bytes of `v`.
@@ -586,173 +578,61 @@ fn fnv1a(mut h: u64, v: u64) -> u64 {
 }
 
 /// Hashes every input that shapes the LP **matrix** (as opposed to its
-/// release right-hand sides): the encoding kind, `n`, `m`, the edge set,
-/// the work-function breakpoints (they fix `p_j(1)`, the crash-variable
+/// release right-hand sides): the method, `n`, `m`, the edge set, the
+/// work-function breakpoints (they fix `p_j(1)`, the crash-variable
 /// bounds and slopes, and the base work), and the per-task release-row
 /// *pattern* — `r_j > 0` decides whether task `j` owns a release row, so
 /// a release collapsing to zero is a structural event even though the
 /// release *value* is not.
-fn structure_fingerprint(kind: u8, ins: &Instance, wfs: &[WorkFunction], releases: &[f64]) -> u64 {
-    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, kind as u64);
+fn structure_fingerprint(
+    method: Phase1,
+    ins: &Instance,
+    wfs: &[WorkFunction],
+    releases: Option<&[f64]>,
+) -> u64 {
+    let kind = match method {
+        Phase1::Lp => 0,
+        Phase1::Bisection => 1,
+    };
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, kind);
     h = fnv1a(h, ins.n() as u64);
     h = fnv1a(h, ins.m() as u64);
-    for j in 0..ins.n() {
+    for (j, wf) in wfs.iter().enumerate() {
         let preds = ins.dag().preds(j);
         h = fnv1a(h, preds.len() as u64);
         for &i in preds {
             h = fnv1a(h, i as u64);
         }
-        for (t, w, l) in wfs[j].breakpoints() {
+        for (t, w, l) in wf.breakpoints() {
             h = fnv1a(h, t.to_bits());
             h = fnv1a(h, w.to_bits());
             h = fnv1a(h, l as u64);
         }
-        h = fnv1a(h, (preds.is_empty() || releases[j] > 0.0) as u64);
+        h = fnv1a(
+            h,
+            (preds.is_empty() || release_of(releases, j) > 0.0) as u64,
+        );
     }
     h
 }
 
-/// [`solve_allotment_with_releases_in`] with cross-epoch LP reuse: when
-/// `reuse` proves the context still holds a build of the same structure,
-/// only the release rows move and the model warm-resolves in place. See
-/// [`SuffixLpReuse`] for the validity and determinism contract.
-pub fn solve_allotment_with_releases_reusing(
-    ctx: &mut SolveContext,
-    reuse: &mut SuffixLpReuse,
-    ins: &Instance,
-    releases: &[f64],
-    opts: &SolverOptions,
-) -> Result<AllotmentResult, CoreError> {
-    validate_releases(ins, releases)?;
-    let wfs = work_functions(ins)?;
-    let fp = structure_fingerprint(0, ins, &wfs, releases);
-    // Taking the state clears the handle up front: any early return below
-    // (solver error, unexpected status) leaves it empty, and only a clean
-    // finish on either path re-arms it.
-    if let Some(state) = reuse.state.take() {
-        if state.fingerprint == fp && state.stamp == ctx.load_stamp() {
-            if let ReusePayload::Crashing(layout) = state.payload {
-                ctx.counters_mut().inc(Counter::LpReuses);
-                for (j, slot) in layout.release_rows.iter().enumerate() {
-                    if let Some((row, pj1)) = *slot {
-                        ctx.set_rhs(row, -(pj1 + releases[j]))?;
-                    }
-                }
-                // Cold re-optimization, deliberately: the crashing form
-                // reads the solution *vector* back out, and at a
-                // degenerate optimum a warm resolve may stop at a
-                // different (equally optimal) vertex than the rebuild
-                // path's cold solve — same objective bits, different
-                // allotments after rounding. Reuse here skips the model
-                // construction and load, not the pivots; the bisection
-                // variant below gets the full warm continuation because
-                // its search is vertex-insensitive.
-                let cold = SolverOptions {
-                    warm_start: false,
-                    ..opts.clone()
-                };
-                let sol = ctx.resolve(&cold)?;
-                if sol.status != Status::Optimal {
-                    return Err(CoreError::BadLpStatus(sol.status));
-                }
-                let out = extract_crashing(&sol, &wfs, &layout);
-                reuse.state = Some(ReuseState {
-                    fingerprint: fp,
-                    stamp: ctx.load_stamp(),
-                    payload: ReusePayload::Crashing(layout),
-                });
-                return Ok(out);
-            }
-        }
-    }
-    let (lp, layout) = build_crashing_lp(ins, &wfs, Some(releases));
-    let sol = ctx.solve(&lp, opts)?;
-    if sol.status != Status::Optimal {
-        return Err(CoreError::BadLpStatus(sol.status));
-    }
-    let out = extract_crashing(&sol, &wfs, &layout);
-    reuse.state = Some(ReuseState {
-        fingerprint: fp,
-        stamp: ctx.load_stamp(),
-        payload: ReusePayload::Crashing(layout),
-    });
-    Ok(out)
-}
-
-/// The bisection counterpart of [`solve_allotment_with_releases_reusing`]:
-/// a carried-over [`DeadlineSweep`] keeps its loaded model and final
-/// basis, so the whole next binary search runs on warm resolves with not
-/// a single LP rebuild.
-pub fn solve_allotment_bisection_with_releases_reusing(
-    ctx: &mut SolveContext,
-    reuse: &mut SuffixLpReuse,
-    ins: &Instance,
-    releases: &[f64],
-    opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
-    validate_releases(ins, releases)?;
-    let wfs = work_functions(ins)?;
-    let fp = structure_fingerprint(1, ins, &wfs, releases);
-    if let Some(state) = reuse.state.take() {
-        if state.fingerprint == fp && state.stamp == ctx.load_stamp() {
-            if let ReusePayload::Sweep(mut sweep) = state.payload {
-                ctx.counters_mut().inc(Counter::LpReuses);
-                for (j, &rj) in releases.iter().enumerate() {
-                    if let Some((row, pj1)) = sweep.release_rows[j] {
-                        let rhs = -(pj1 + rj);
-                        // Keep the stored model and the loaded one in
-                        // lockstep, so a future fallback reload of
-                        // `sweep.lp` would still be the right model.
-                        sweep.lp.set_row_rhs(row, rhs);
-                        ctx.set_rhs(row, rhs)?;
-                    }
-                }
-                let out = run_bisection(ctx, ins, &wfs, Some(releases), &mut sweep, opts, tol)?;
-                reuse.state = Some(ReuseState {
-                    fingerprint: fp,
-                    stamp: ctx.load_stamp(),
-                    payload: ReusePayload::Sweep(sweep),
-                });
-                return Ok(out);
-            }
-        }
-    }
-    let mut sweep = DeadlineSweep::build(ins, &wfs, Some(releases));
-    let out = run_bisection(ctx, ins, &wfs, Some(releases), &mut sweep, opts, tol)?;
-    reuse.state = Some(ReuseState {
-        fingerprint: fp,
-        stamp: ctx.load_stamp(),
-        payload: ReusePayload::Sweep(sweep),
-    });
-    Ok(out)
-}
-
-fn solve_allotment_bisection_impl(
-    ctx: &mut SolveContext,
-    ins: &Instance,
-    releases: Option<&[f64]>,
-    opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
-    let wfs = work_functions(ins)?;
-    let mut sweep = DeadlineSweep::build(ins, &wfs, releases);
-    run_bisection(ctx, ins, &wfs, releases, &mut sweep, opts, tol)
-}
-
-/// The deadline binary search over an already-built [`DeadlineSweep`]. A
-/// fresh sweep loads its model into `ctx` at the first probe; a sweep
-/// carried over from a previous epoch (see [`SuffixLpReuse`]) starts with
-/// a warm resolve of the model already loaded there.
+/// The deadline-driven (binary-search) variant of phase 1, faithful to the
+/// pipeline of Lepère–Trystram–Woeginger which the paper's LP (9)
+/// supersedes: bisect the deadline `B` on `max{B, W(B)/m}` using the
+/// monotone non-increasing work curve `W(B)`, over an already-built
+/// deadline-form model. A fresh model loads into `ctx` at the first
+/// probe; a model carried over from a previous epoch (see
+/// [`SuffixLpReuse`]) starts with a warm resolve of the model already
+/// loaded there. Returns the deadline the result was extracted at,
+/// alongside the result.
 fn run_bisection(
     ctx: &mut SolveContext,
     ins: &Instance,
     wfs: &[WorkFunction],
     releases: Option<&[f64]>,
-    sweep: &mut DeadlineSweep,
+    sweep: &mut Phase1Model,
     opts: &SolverOptions,
-    tol: f64,
-) -> Result<AllotmentResult, CoreError> {
+) -> Result<(f64, AllotmentResult), CoreError> {
     let m = ins.m() as f64;
     let mut iterations = 0usize;
 
@@ -798,7 +678,7 @@ fn run_bisection(
     // Bisection on the sign of B - W(B)/m (W non-increasing in B makes the
     // max quasi-convex; the optimum is at the crossing or at B_lo).
     for _ in 0..200 {
-        if hi - lo <= tol * (1.0 + hi.abs()) {
+        if hi - lo <= BISECTION_TOL * (1.0 + hi.abs()) {
             break;
         }
         let mid = 0.5 * (lo + hi);
@@ -849,14 +729,17 @@ fn run_bisection(
     let cstar = bused.max(w / m);
     let wstar: f64 = x.iter().zip(wfs).map(|(&xj, wf)| wf.eval(xj)).sum();
     let lstar = completion.iter().copied().fold(0.0, f64::max);
-    Ok(AllotmentResult {
-        x,
-        completion,
-        cstar,
-        lstar,
-        wstar,
-        iterations,
-    })
+    Ok((
+        bused,
+        AllotmentResult {
+            x,
+            completion,
+            cstar,
+            lstar,
+            wstar,
+            iterations,
+        },
+    ))
 }
 
 /// Rounds the fractional solution with parameter `ρ` (Section 3.1),
@@ -889,6 +772,30 @@ mod tests {
         SolverOptions::default()
     }
 
+    fn by(method: Phase1) -> AllotmentRequest<'static> {
+        AllotmentRequest {
+            method,
+            ..AllotmentRequest::default()
+        }
+    }
+
+    /// A one-shot request on a fresh context (the rebuild path).
+    fn solve(
+        ins: &Instance,
+        req: AllotmentRequest<'_>,
+        opts: &SolverOptions,
+    ) -> Result<AllotmentResult, CoreError> {
+        solve_allotment_with(&mut SolveContext::new(), ins, req, opts)
+    }
+
+    fn lp(ins: &Instance) -> AllotmentResult {
+        solve(ins, by(Phase1::Lp), &opts()).unwrap()
+    }
+
+    fn bisection(ins: &Instance) -> AllotmentResult {
+        solve(ins, by(Phase1::Bisection), &opts()).unwrap()
+    }
+
     fn simple_instance(m: usize) -> Instance {
         let dag = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let profiles = vec![
@@ -903,7 +810,7 @@ mod tests {
     #[test]
     fn lp_lower_bound_sandwiched() {
         let ins = simple_instance(4);
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         // C* >= max(L*, W*/m) and C* <= serial upper bound.
         assert!(r.cstar >= r.lower_bound(4) - 1e-6);
         assert!(r.cstar <= ins.serial_upper_bound() + 1e-6);
@@ -931,7 +838,7 @@ mod tests {
                 m,
                 seed,
             );
-            let a = solve_allotment(&ins, &opts()).unwrap();
+            let a = lp(&ins);
             let b = solve_allotment_direct(&ins, &opts()).unwrap();
             assert!(
                 (a.cstar - b.cstar).abs() <= 1e-6 * (1.0 + a.cstar.abs()),
@@ -946,7 +853,7 @@ mod tests {
     fn single_task_lp() {
         let ins =
             Instance::new(Dag::new(1), vec![Profile::power_law(8.0, 1.0, 4).unwrap()]).unwrap();
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         // One task on m=4 with linear speedup and work 8 independent of l:
         // C* = max(x, 8/4) minimized at x = 2 = p(4).
         assert!((r.cstar - 2.0).abs() < 1e-6, "cstar = {}", r.cstar);
@@ -962,7 +869,7 @@ mod tests {
             1,
             7,
         );
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         // With one processor the LP bound is max(L, W) = total serial work
         // when the DAG admits no parallelism... at least W = sum p(1).
         let total: f64 = ins.profiles().iter().map(|p| p.time(1)).sum();
@@ -977,7 +884,7 @@ mod tests {
         let dag = generate::chain(3);
         let profiles = vec![Profile::power_law(8.0, 1.0, 8).unwrap(); 3];
         let ins = Instance::new(dag, profiles).unwrap();
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         // W/m = 3*8/8 = 3 = L at x_j = 1 each: C* = 3.
         assert!((r.cstar - 3.0).abs() < 1e-6, "cstar = {}", r.cstar);
         for &xj in &r.x {
@@ -993,45 +900,59 @@ mod tests {
             .map(|_| Profile::power_law(4.0, 1.0, 4).unwrap())
             .collect();
         let ins = Instance::new(generate::independent(6), profiles).unwrap();
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         // Work is 4 per task regardless of allotment: W/m = 24/4 = 6; the
         // path bound can go as low as p(4) = 1. C* = 6.
         assert!((r.cstar - 6.0).abs() < 1e-5, "cstar = {}", r.cstar);
     }
 
+    /// The KKT certificate of the *real* phase-1 LPs, as the shared row
+    /// builder produces them: the crashing form, and the deadline form
+    /// at the deadline the bisection extracted its result at. Each
+    /// certified solve is also the one the entry point returns — same
+    /// objective bits, same allotments — so the certificate covers the
+    /// answer callers see.
     #[test]
     fn phase1_lp_solutions_carry_valid_certificates() {
-        // Re-derive the phase-1 LP… indirectly: the public API hides the
-        // Lp object, so rebuild a small direct-form LP here and certify it
-        // (the crashing form is exercised by mtsp-lp's own property suite).
-        let ins = simple_instance(4);
-        let wfs: Vec<_> = ins
-            .profiles()
-            .iter()
-            .map(|p| mtsp_model::WorkFunction::from_profile(p).unwrap())
-            .collect();
-        let mut lp = Lp::minimize();
-        let c = lp.add_var(0.0, f64::INFINITY, 1.0);
-        let xs: Vec<_> = wfs
-            .iter()
-            .map(|wf| lp.add_var(wf.min_time(), wf.max_time(), 0.0))
-            .collect();
-        // crude relaxation: total work <= m C and x_j <= C
-        let mut row: Vec<(mtsp_lp::VarId, f64)> = vec![(c, -(ins.m() as f64))];
-        for (x, wf) in xs.iter().zip(&wfs) {
-            for cut in wf.cuts() {
-                // w_j >= cut(x_j): relax into the aggregate via the cut at
-                // x itself — here we only exercise the certificate
-                // machinery, not the exact formulation.
-                let _ = cut;
+        for (family, n, m, seed) in [
+            (igen::DagFamily::Chain, 8usize, 4usize, 1u64),
+            (igen::DagFamily::Layered, 14, 6, 2),
+            (igen::DagFamily::SeriesParallel, 12, 4, 3),
+            (igen::DagFamily::ForkJoin, 12, 8, 4),
+            (igen::DagFamily::Cholesky, 15, 6, 5),
+            (igen::DagFamily::Independent, 10, 4, 6),
+        ] {
+            let ins = igen::random_instance(family, igen::CurveFamily::Mixed, n, m, seed);
+            let wfs = work_functions(&ins).unwrap();
+            let tag = format!("{family:?} n={n} m={m} seed={seed}");
+
+            let crashing = Phase1Model::build(&ins, &wfs, None, Phase1::Lp);
+            let sol = crashing.lp.solve_with(&opts()).unwrap();
+            mtsp_lp::verify_optimality(&crashing.lp, &sol, 1e-7)
+                .unwrap_or_else(|e| panic!("{tag}: crashing form: {e}"));
+            let r = lp(&ins);
+            assert_eq!(sol.objective.to_bits(), r.cstar.to_bits(), "{tag}");
+            assert_eq!(crashing.read(&sol, &wfs).0, r.x, "{tag}");
+
+            let mut sweep = Phase1Model::build(&ins, &wfs, None, Phase1::Bisection);
+            let (bstar, r) = run_bisection(
+                &mut SolveContext::new(),
+                &ins,
+                &wfs,
+                None,
+                &mut sweep,
+                &opts(),
+            )
+            .unwrap();
+            for &c in &sweep.completion {
+                sweep.lp.set_var_bounds(c, 0.0, bstar);
             }
-            lp.add_row(&[(*x, 1.0), (c, -1.0)], Relation::Le, 0.0);
-            row.push((*x, 1.0));
+            let sol = sweep.lp.solve_with(&opts()).unwrap();
+            mtsp_lp::verify_optimality(&sweep.lp, &sol, 1e-7)
+                .unwrap_or_else(|e| panic!("{tag}: deadline form at B* = {bstar}: {e}"));
+            let (x, completion) = sweep.read(&sol, &wfs);
+            assert_eq!((x, completion), (r.x, r.completion), "{tag}");
         }
-        lp.add_row(&row, Relation::Le, 0.0);
-        let sol = lp.solve_with(&opts()).unwrap();
-        assert_eq!(sol.status, Status::Optimal);
-        mtsp_lp::verify_optimality(&lp, &sol, 1e-7).expect("valid certificate");
     }
 
     #[test]
@@ -1046,8 +967,8 @@ mod tests {
                 m,
                 seed,
             );
-            let lp = solve_allotment(&ins, &opts()).unwrap();
-            let bis = solve_allotment_bisection(&ins, &opts(), 1e-7).unwrap();
+            let lp = lp(&ins);
+            let bis = bisection(&ins);
             assert!(
                 (lp.cstar - bis.cstar).abs() <= 1e-4 * (1.0 + lp.cstar.abs()),
                 "n={n} m={m} seed={seed}: LP {} vs bisection {}",
@@ -1080,8 +1001,8 @@ mod tests {
             (igen::DagFamily::Cholesky, 15, 6, 6),
         ] {
             let ins = igen::random_instance(family, igen::CurveFamily::Mixed, n, m, seed);
-            let warm = solve_allotment_bisection(&ins, &opts(), 1e-7).unwrap();
-            let cold = solve_allotment_bisection(&ins, &cold_opts, 1e-7).unwrap();
+            let warm = bisection(&ins);
+            let cold = solve(&ins, by(Phase1::Bisection), &cold_opts).unwrap();
             assert_eq!(
                 warm, cold,
                 "{family:?} n={n} m={m} seed={seed}: warm and cold bisection disagree"
@@ -1112,12 +1033,11 @@ mod tests {
             })
             .collect();
         for ins in &instances {
-            let shared = solve_allotment_in(&mut ctx, ins, &opts()).unwrap();
-            let fresh = solve_allotment(ins, &opts()).unwrap();
-            assert_eq!(shared, fresh);
-            let shared_b = solve_allotment_bisection_in(&mut ctx, ins, &opts(), 1e-7).unwrap();
-            let fresh_b = solve_allotment_bisection(ins, &opts(), 1e-7).unwrap();
-            assert_eq!(shared_b, fresh_b);
+            let shared = solve_allotment_with(&mut ctx, ins, by(Phase1::Lp), &opts()).unwrap();
+            assert_eq!(shared, lp(ins));
+            let shared_b =
+                solve_allotment_with(&mut ctx, ins, by(Phase1::Bisection), &opts()).unwrap();
+            assert_eq!(shared_b, bisection(ins));
         }
     }
 
@@ -1125,14 +1045,14 @@ mod tests {
     fn bisection_on_single_task() {
         let ins =
             Instance::new(Dag::new(1), vec![Profile::power_law(8.0, 1.0, 4).unwrap()]).unwrap();
-        let r = solve_allotment_bisection(&ins, &opts(), 1e-9).unwrap();
+        let r = bisection(&ins);
         assert!((r.cstar - 2.0).abs() < 1e-5, "cstar = {}", r.cstar);
     }
 
     #[test]
     fn rounding_produces_valid_allotments() {
         let ins = simple_instance(6);
-        let r = solve_allotment(&ins, &opts()).unwrap();
+        let r = lp(&ins);
         for rho in [0.0, 0.26, 0.5, 1.0] {
             let (alloc, outcomes) = round_allotment(&ins, &r.x, rho).unwrap();
             for (j, (&l, o)) in alloc.iter().zip(&outcomes).enumerate() {
@@ -1152,20 +1072,55 @@ mod tests {
         // Assumption 1 violated: increasing processing time.
         let p = Profile::from_times(vec![1.0, 2.0]).unwrap();
         let ins = Instance::new(Dag::new(1), vec![p]).unwrap();
-        match solve_allotment(&ins, &opts()) {
+        match solve(&ins, by(Phase1::Lp), &opts()) {
             Err(CoreError::InadmissibleInstance { task: 0 }) => {}
             other => panic!("expected inadmissible, got {other:?}"),
+        }
+    }
+
+    /// Release times are validated once, at the entry point, whatever the
+    /// method and whether or not a reuse handle rides along — and a
+    /// rejected request leaves the handle empty.
+    #[test]
+    fn invalid_releases_are_rejected_for_every_method() {
+        let ins = simple_instance(4);
+        for method in [Phase1::Lp, Phase1::Bisection] {
+            for bad in [vec![0.0; 3], vec![0.0, -1.0, 0.0, 0.0], vec![f64::NAN; 4]] {
+                let mut ctx = SolveContext::new();
+                let mut reuse = SuffixLpReuse::new();
+                let ok = vec![0.5; 4];
+                let req = AllotmentRequest {
+                    method,
+                    releases: Some(&ok),
+                    reuse: Some(&mut reuse),
+                };
+                solve_allotment_with(&mut ctx, &ins, req, &opts()).unwrap();
+                for handle in [true, false] {
+                    let req = AllotmentRequest {
+                        method,
+                        releases: Some(&bad),
+                        reuse: handle.then_some(&mut reuse),
+                    };
+                    assert!(
+                        matches!(
+                            solve_allotment_with(&mut ctx, &ins, req, &opts()),
+                            Err(CoreError::InvalidParameter(_))
+                        ),
+                        "{method:?} {bad:?}"
+                    );
+                }
+                assert!(reuse.state.is_some(), "validation runs before the take");
+            }
         }
     }
 
     /// The acceptance criterion of cross-epoch reuse: a sequence of pure
     /// release shifts solved through one handle (mutate-and-resolve) is
     /// **bitwise identical** to solving each epoch from scratch in a fresh
-    /// context — for both the direct crashing form and the bisection —
-    /// and the reuses are visible in the counters.
+    /// context — for both the crashing form and the bisection — and the
+    /// reuses are visible in the counters.
     #[test]
     fn release_reuse_is_bitwise_identical_to_rebuild() {
-        use mtsp_obs::Counter;
         for (n, m, seed) in [(10usize, 4usize, 9u64), (16, 6, 10)] {
             let ins = igen::random_instance(
                 igen::DagFamily::Layered,
@@ -1174,105 +1129,86 @@ mod tests {
                 m,
                 seed,
             );
-            let mut ctx = SolveContext::new();
-            let mut reuse = SuffixLpReuse::new();
-            let mut ctx_b = SolveContext::new();
-            let mut reuse_b = SuffixLpReuse::new();
-            for step in 0..4 {
-                // Strictly positive releases keep the release-row pattern
-                // stable, so every epoch after the first may reuse.
-                let releases: Vec<f64> = (0..ins.n())
-                    .map(|j| 0.4 + 0.2 * j as f64 + 0.3 * step as f64)
-                    .collect();
-                let reused = solve_allotment_with_releases_reusing(
-                    &mut ctx,
-                    &mut reuse,
-                    &ins,
-                    &releases,
-                    &opts(),
-                )
-                .unwrap();
-                let fresh = solve_allotment_with_releases_in(
-                    &mut SolveContext::new(),
-                    &ins,
-                    &releases,
-                    &opts(),
-                )
-                .unwrap();
-                assert_eq!(reused, fresh, "crashing step {step} n={n}");
-                assert_eq!(reused.cstar.to_bits(), fresh.cstar.to_bits());
-                for (a, b) in reused.x.iter().zip(&fresh.x) {
-                    assert_eq!(a.to_bits(), b.to_bits());
+            for method in [Phase1::Lp, Phase1::Bisection] {
+                let mut ctx = SolveContext::new();
+                let mut reuse = SuffixLpReuse::new();
+                for step in 0..4 {
+                    // Strictly positive releases keep the release-row
+                    // pattern stable, so every epoch after the first may
+                    // reuse.
+                    let releases: Vec<f64> = (0..ins.n())
+                        .map(|j| 0.4 + 0.2 * j as f64 + 0.3 * step as f64)
+                        .collect();
+                    let req = AllotmentRequest {
+                        method,
+                        releases: Some(&releases),
+                        reuse: Some(&mut reuse),
+                    };
+                    let reused = solve_allotment_with(&mut ctx, &ins, req, &opts()).unwrap();
+                    let req = AllotmentRequest {
+                        method,
+                        releases: Some(&releases),
+                        reuse: None,
+                    };
+                    let fresh = solve(&ins, req, &opts()).unwrap();
+                    assert_eq!(reused, fresh, "{method:?} step {step} n={n}");
+                    assert_eq!(reused.cstar.to_bits(), fresh.cstar.to_bits());
+                    for (a, b) in reused.x.iter().zip(&fresh.x) {
+                        assert_eq!(a.to_bits(), b.to_bits());
+                    }
                 }
-                let reused_b = solve_allotment_bisection_with_releases_reusing(
-                    &mut ctx_b,
-                    &mut reuse_b,
-                    &ins,
-                    &releases,
-                    &opts(),
-                    1e-7,
-                )
-                .unwrap();
-                let fresh_b = solve_allotment_bisection_with_releases_in(
-                    &mut SolveContext::new(),
-                    &ins,
-                    &releases,
-                    &opts(),
-                    1e-7,
-                )
-                .unwrap();
-                assert_eq!(reused_b, fresh_b, "bisection step {step} n={n}");
-                assert_eq!(reused_b.cstar.to_bits(), fresh_b.cstar.to_bits());
+                assert_eq!(ctx.counters().get(Counter::LpReuses), 3, "{method:?}");
+                assert_eq!(ctx.counters().get(Counter::LpBuilds), 1, "{method:?}");
             }
-            assert_eq!(ctx.counters().get(Counter::LpReuses), 3);
-            assert_eq!(ctx.counters().get(Counter::LpBuilds), 1);
-            assert_eq!(ctx_b.counters().get(Counter::LpReuses), 3);
         }
     }
 
     /// Every structural event must defeat the fingerprint and force a
     /// rebuild; in particular a release collapsing to zero on a task with
     /// predecessors removes its release row even though `n`, `m` and the
-    /// edge set are unchanged.
+    /// edge set are unchanged. A handle armed by one method never feeds
+    /// the other.
     #[test]
     fn release_reuse_rebuilds_on_structural_change() {
-        use mtsp_obs::Counter;
         let ins = simple_instance(4);
         let releases = vec![0.5; 4];
         let mut ctx = SolveContext::new();
         let mut reuse = SuffixLpReuse::new();
-        let r0 =
-            solve_allotment_with_releases_reusing(&mut ctx, &mut reuse, &ins, &releases, &opts())
-                .unwrap();
+        let mut run = |ctx: &mut SolveContext, ins: &Instance, releases: &[f64], method| {
+            let req = AllotmentRequest {
+                method,
+                releases: Some(releases),
+                reuse: Some(&mut reuse),
+            };
+            let out = solve_allotment_with(ctx, ins, req, &opts()).unwrap();
+            let req = AllotmentRequest {
+                method,
+                releases: Some(releases),
+                reuse: None,
+            };
+            assert_eq!(out, solve(ins, req, &opts()).unwrap());
+            out
+        };
+        let r0 = run(&mut ctx, &ins, &releases, Phase1::Lp);
         assert_eq!(ctx.counters().get(Counter::LpBuilds), 1);
         // Task 3 has predecessors; its release dropping to zero flips the
         // release-row pattern — a rebuild, not a reuse.
-        let flipped = vec![0.5, 0.5, 0.5, 0.0];
-        let r1 =
-            solve_allotment_with_releases_reusing(&mut ctx, &mut reuse, &ins, &flipped, &opts())
-                .unwrap();
+        run(&mut ctx, &ins, &[0.5, 0.5, 0.5, 0.0], Phase1::Lp);
         assert_eq!(ctx.counters().get(Counter::LpReuses), 0);
         assert_eq!(ctx.counters().get(Counter::LpBuilds), 2);
-        assert_eq!(
-            r1,
-            solve_allotment_with_releases_in(&mut SolveContext::new(), &ins, &flipped, &opts())
-                .unwrap()
-        );
         // A different instance (extra edge) through the same handle also
         // rebuilds and matches scratch.
         let dag2 = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]).unwrap();
         let ins2 = Instance::new(dag2, ins.profiles().to_vec()).unwrap();
-        let r2 =
-            solve_allotment_with_releases_reusing(&mut ctx, &mut reuse, &ins2, &releases, &opts())
-                .unwrap();
+        let r2 = run(&mut ctx, &ins2, &releases, Phase1::Lp);
         assert_eq!(ctx.counters().get(Counter::LpReuses), 0);
         assert_eq!(ctx.counters().get(Counter::LpBuilds), 3);
-        assert_eq!(
-            r2,
-            solve_allotment_with_releases_in(&mut SolveContext::new(), &ins2, &releases, &opts())
-                .unwrap()
-        );
         assert_ne!(r0, r2);
+        // Same structure, other method: a rebuild, then reuse resumes.
+        run(&mut ctx, &ins2, &releases, Phase1::Bisection);
+        assert_eq!(ctx.counters().get(Counter::LpReuses), 0);
+        run(&mut ctx, &ins2, &releases, Phase1::Bisection);
+        assert_eq!(ctx.counters().get(Counter::LpReuses), 1);
     }
 
     /// A context hijacked between epochs (another model loaded into it)
@@ -1280,30 +1216,37 @@ mod tests {
     /// mutate someone else's LP.
     #[test]
     fn release_reuse_detects_foreign_loads() {
-        use mtsp_obs::Counter;
         let ins = simple_instance(4);
         let releases = vec![0.5; 4];
         let mut ctx = SolveContext::new();
         let mut reuse = SuffixLpReuse::new();
-        solve_allotment_with_releases_reusing(&mut ctx, &mut reuse, &ins, &releases, &opts())
-            .unwrap();
+        let req = AllotmentRequest {
+            method: Phase1::Lp,
+            releases: Some(&releases),
+            reuse: Some(&mut reuse),
+        };
+        solve_allotment_with(&mut ctx, &ins, req, &opts()).unwrap();
         // Interleave unrelated work through the same context.
         let other =
             igen::random_instance(igen::DagFamily::Chain, igen::CurveFamily::PowerLaw, 5, 2, 1);
-        solve_allotment_in(&mut ctx, &other, &opts()).unwrap();
-        let r =
-            solve_allotment_with_releases_reusing(&mut ctx, &mut reuse, &ins, &releases, &opts())
-                .unwrap();
+        solve_allotment_with(&mut ctx, &other, by(Phase1::Lp), &opts()).unwrap();
+        let req = AllotmentRequest {
+            method: Phase1::Lp,
+            releases: Some(&releases),
+            reuse: Some(&mut reuse),
+        };
+        let r = solve_allotment_with(&mut ctx, &ins, req, &opts()).unwrap();
         assert_eq!(
             ctx.counters().get(Counter::LpReuses),
             0,
             "stamp must veto reuse"
         );
-        assert_eq!(
-            r,
-            solve_allotment_with_releases_in(&mut SolveContext::new(), &ins, &releases, &opts())
-                .unwrap()
-        );
+        let req = AllotmentRequest {
+            method: Phase1::Lp,
+            releases: Some(&releases),
+            reuse: None,
+        };
+        assert_eq!(r, solve(&ins, req, &opts()).unwrap());
     }
 
     #[test]
@@ -1316,7 +1259,7 @@ mod tests {
                 8,
                 seed,
             );
-            let r = solve_allotment(&ins, &opts()).unwrap();
+            let r = lp(&ins);
             // Both are lower bounds on OPT; the LP one is at least the
             // critical-path/area part of the combinatorial bound up to the
             // p_max term which the LP also dominates via x >= p(m).

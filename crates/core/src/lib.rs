@@ -54,15 +54,13 @@ pub mod two_phase;
 pub mod util;
 
 pub use allotment::{
-    solve_allotment, solve_allotment_bisection, solve_allotment_bisection_in,
-    solve_allotment_bisection_with_releases_in, solve_allotment_bisection_with_releases_reusing,
-    solve_allotment_direct, solve_allotment_in, solve_allotment_with_releases_in,
-    solve_allotment_with_releases_reusing, AllotmentResult, SuffixLpReuse,
+    solve_allotment_direct, solve_allotment_in, solve_allotment_with, AllotmentRequest,
+    AllotmentResult, Phase1, SuffixLpReuse,
 };
 pub use error::CoreError;
 pub use improve::{improve_allotment, ImproveOptions, Improved};
 pub use independent::{schedule_independent, IndependentResult};
 pub use list::{list_schedule, list_schedule_in, ListWorkspace, Priority};
 pub use schedule::{Schedule, ScheduledTask, SlotClass, SlotProfile};
-pub use two_phase::{schedule_jz, schedule_jz_in, schedule_jz_with, JzConfig, JzReport, Phase1};
+pub use two_phase::{schedule_jz, schedule_jz_in, schedule_jz_with, JzConfig, JzReport};
 pub use util::Ord64;

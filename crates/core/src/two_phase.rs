@@ -1,8 +1,7 @@
 //! The complete two-phase algorithm with certificates.
 
-use crate::allotment::{
-    round_allotment, solve_allotment_bisection_in, solve_allotment_in, AllotmentResult,
-};
+pub use crate::allotment::Phase1;
+use crate::allotment::{round_allotment, solve_allotment_with, AllotmentRequest, AllotmentResult};
 use crate::error::CoreError;
 use crate::list::{list_schedule, Priority};
 use crate::schedule::Schedule;
@@ -11,18 +10,6 @@ use mtsp_analysis::ratio::{our_params, Params};
 use mtsp_lp::{SolveContext, SolverOptions};
 use mtsp_model::{Instance, RoundingOutcome};
 use mtsp_obs::{Counter, Counters};
-
-/// Which phase-1 formulation to solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Phase1 {
-    /// LP (9) in its compact crashing form — the paper's approach.
-    #[default]
-    Lp,
-    /// The binary-search-over-deadlines pipeline of the predecessors \[18\]
-    /// (converges to the same optimum; see
-    /// [`crate::allotment::solve_allotment_bisection`]).
-    Bisection,
-}
 
 /// Configuration of [`schedule_jz_with`].
 #[derive(Debug, Clone, Default)]
@@ -38,7 +25,8 @@ pub struct JzConfig {
     /// required). The paper's generalized model (Section 5) only needs the
     /// work function convex in time, which `WorkFunction` handles.
     pub skip_admissibility_check: bool,
-    /// Phase-1 formulation.
+    /// Phase-1 formulation, passed to
+    /// [`crate::allotment::solve_allotment_with`] as the request's method.
     pub phase1: Phase1,
 }
 
@@ -141,15 +129,16 @@ pub fn schedule_jz_in(
     let counters_at_entry = *ctx.counters();
 
     // Phase 1: LP + rounding.
-    let lp = match cfg.phase1 {
-        Phase1::Lp => {
-            let _span = mtsp_obs::span!("phase1.lp");
-            solve_allotment_in(ctx, ins, &cfg.solver)?
-        }
-        Phase1::Bisection => {
-            let _span = mtsp_obs::span!("phase1.bisection");
-            solve_allotment_bisection_in(ctx, ins, &cfg.solver, 1e-7)?
-        }
+    let lp = {
+        let _span = mtsp_obs::span!(match cfg.phase1 {
+            Phase1::Lp => "phase1.lp",
+            Phase1::Bisection => "phase1.bisection",
+        });
+        let req = AllotmentRequest {
+            method: cfg.phase1,
+            ..AllotmentRequest::default()
+        };
+        solve_allotment_with(ctx, ins, req, &cfg.solver)?
     };
     ctx.counters_mut().inc(Counter::RoundingPasses);
     let (alloc_prime, rounding) = {

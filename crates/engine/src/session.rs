@@ -16,21 +16,19 @@
 //! * **epochs** ([`ScheduleSession::replan`]) re-run phase 1 of the
 //!   Jansen–Zhang pipeline over the not-yet-started suffix, with frozen
 //!   predecessors and late arrivals entering as *release times*
-//!   ([`mtsp_core::solve_allotment_with_releases_in`]), and round the
+//!   ([`mtsp_core::AllotmentRequest::releases`]), and round the
 //!   fractional solution into fresh allotments for every pending task.
 //!
-//! The session owns one LP [`SolveContext`] for its whole lifetime (with
-//! [`SessionConfig::reuse_context`]): every epoch re-solve runs through
-//! the same buffers, and with [`Phase1::Bisection`] each epoch's deadline
-//! sweep warm-starts probe-to-probe from the previous basis — the
-//! re-plan-latency lever measured in `benches/session.rs`. On top of
-//! that, consecutive epochs that share LP *structure* (no arrival, no new
-//! edge, same machine count — only release times moved) skip the rebuild
-//! entirely and mutate the previous epoch's still-loaded LP in place
-//! ([`SessionConfig::reuse_epoch_lp`], `engine.lp_reuses`). Outputs are
-//! byte-identical whether contexts and epoch LPs are reused or rebuilt
-//! cold (asserted in tests), so warm epochs are purely a latency
-//! optimization.
+//! Every epoch re-solve runs through a session-owned LP [`SolveContext`],
+//! so with [`Bisection`](mtsp_core::Phase1::Bisection) each epoch's
+//! deadline sweep warm-starts probe-to-probe from the previous basis.
+//! On top of that, consecutive
+//! epochs that share LP *structure* (no arrival, no new edge, same
+//! machine count — only release times moved) skip the rebuild entirely
+//! and mutate the previous epoch's still-loaded LP in place
+//! ([`mtsp_core::SuffixLpReuse`], `engine.lp_reuses`). Outputs are
+//! byte-identical to rebuilding every epoch from scratch (asserted in
+//! tests), so warm epochs are purely a latency optimization.
 //!
 //! Dispatching (deciding *when* each pending task starts under the
 //! current allotments) is the executor's job — see the event-driven
@@ -39,11 +37,9 @@
 
 use mtsp_analysis::ratio::our_params;
 use mtsp_core::allotment::{
-    round_allotment, solve_allotment_bisection_with_releases_in,
-    solve_allotment_bisection_with_releases_reusing, solve_allotment_with_releases_in,
-    solve_allotment_with_releases_reusing, SuffixLpReuse,
+    round_allotment, solve_allotment_with, AllotmentRequest, SuffixLpReuse,
 };
-use mtsp_core::two_phase::{validate_params, JzConfig, Phase1};
+use mtsp_core::two_phase::{validate_params, JzConfig};
 use mtsp_core::CoreError;
 use mtsp_dag::Dag;
 use mtsp_lp::SolveContext;
@@ -181,48 +177,20 @@ pub enum TaskState {
 }
 
 /// Session configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
     /// The two-phase pipeline configuration: parameters `(ρ, μ)` (default
     /// = the paper's, for the *active* machine count), phase-1 formulation
-    /// (with [`Phase1::Bisection`] each epoch warm-starts probe-to-probe),
-    /// LP options, dispatch priority, admissibility policy.
+    /// (with [`Bisection`](mtsp_core::Phase1::Bisection) each epoch
+    /// warm-starts probe-to-probe), LP options, dispatch priority,
+    /// admissibility policy.
     pub jz: JzConfig,
-    /// Keep one LP [`SolveContext`] alive across epochs (`true`, the
-    /// default): scratch buffers, basis storage and factorization are
-    /// allocated once per session instead of once per epoch. `false`
-    /// rebuilds a cold context every epoch — byte-identical plans, only
-    /// slower (the warm-vs-cold axis of `benches/session.rs`).
-    pub reuse_context: bool,
-    /// Reuse the epoch suffix **LP itself** across consecutive re-plans
-    /// (`true`, the default). When two epochs share structure — same
-    /// pending set, same edges, same machine count, only release times
-    /// moved — the release rows of the previous epoch's still-loaded LP
-    /// are re-aimed in place and the model warm-resolves from its final
-    /// basis instead of being rebuilt ([`mtsp_core::SuffixLpReuse`]; the
-    /// reuses surface as `engine.lp_reuses`). The work runs through a
-    /// session-owned dedicated context, so the reuse decision — and the
-    /// per-epoch counter delta — is a pure function of the event history,
-    /// never of which external context [`ScheduleSession::replan_in`] was
-    /// handed. Plans are byte-identical either way (asserted in tests);
-    /// only pivot counts (`lp_iterations`) reflect the warm start.
-    pub reuse_epoch_lp: bool,
 }
 
 impl SessionConfig {
-    /// The default configuration with context and epoch-LP reuse on.
+    /// The default configuration.
     pub fn new() -> Self {
-        SessionConfig {
-            jz: JzConfig::default(),
-            reuse_context: true,
-            reuse_epoch_lp: true,
-        }
-    }
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::new()
+        Self::default()
     }
 }
 
@@ -280,11 +248,10 @@ pub struct ScheduleSession {
     /// Current planned (pending) or frozen (started) allotment.
     alloc: Vec<Option<usize>>,
     now: f64,
-    ctx: SolveContext,
-    /// Dedicated phase-1 context for [`SessionConfig::reuse_epoch_lp`]:
-    /// only epoch re-solves of *this* session touch it, so its load stamp
-    /// proves whether the previous epoch's LP is still loaded — immune to
-    /// whatever interleaves on the caller's shared context.
+    /// Dedicated phase-1 context: only epoch re-solves of *this* session
+    /// touch it, so its load stamp proves whether the previous epoch's LP
+    /// is still loaded — immune to whatever interleaves on the caller's
+    /// context.
     epoch_ctx: SolveContext,
     epoch_reuse: SuffixLpReuse,
     epochs: Vec<EpochStats>,
@@ -311,7 +278,6 @@ impl ScheduleSession {
             state: Vec::new(),
             alloc: Vec::new(),
             now: 0.0,
-            ctx: SolveContext::new(),
             epoch_ctx: SolveContext::new(),
             epoch_reuse: SuffixLpReuse::new(),
             epochs: Vec::new(),
@@ -536,27 +502,18 @@ impl ScheduleSession {
     /// plan itself is a pure function of the event history (context reuse
     /// and warm starts never change a byte — asserted in tests).
     pub fn replan(&mut self, t: f64) -> Result<&EpochStats, SessionError> {
-        // Route through the session-owned (or a throwaway cold) context.
-        // `mem::replace` frees the `&mut self` borrow for `replan_inner`;
-        // a fresh `SolveContext` is lazy and allocation-free until used.
-        let mut ctx = if self.cfg.reuse_context {
-            std::mem::replace(&mut self.ctx, SolveContext::new())
-        } else {
-            SolveContext::new()
-        };
-        let res = self.replan_inner(&mut ctx, t);
-        if self.cfg.reuse_context {
-            self.ctx = ctx;
-        }
-        res?;
-        Ok(self.epochs.last().expect("replan_inner pushed an epoch"))
+        // A fresh `SolveContext` is lazy and allocation-free: the epoch
+        // solves on the session's own context and only merges its counter
+        // delta here.
+        self.replan_in(&mut SolveContext::new(), t)
     }
 
-    /// [`replan`](Self::replan), but through a caller-owned LP context —
-    /// the hook the serving daemon uses to share one warm context per
-    /// shard across every session the shard owns. The plan is a pure
-    /// function of the event history, so which context solved it (warm,
-    /// cold, shared, session-owned) never changes a byte.
+    /// [`replan`](Self::replan), with the epoch's counter delta merged
+    /// into a caller-owned LP context — the hook the serving daemon uses
+    /// to account every session of a shard on the shard's one context.
+    /// The epoch itself solves on the session's dedicated context, so the
+    /// plan is a pure function of the event history whichever context is
+    /// handed in.
     pub fn replan_in(
         &mut self,
         ctx: &mut SolveContext,
@@ -630,58 +587,30 @@ impl ScheduleSession {
         let params = self.cfg.jz.params.unwrap_or_else(|| our_params(self.m));
         validate_params(&params, self.m).map_err(SessionError::Core)?;
 
-        let counters_at_entry = *ctx.counters();
-        let solver = &self.cfg.jz.solver;
-        let lp = if self.cfg.reuse_epoch_lp {
-            // Cross-epoch LP reuse runs through the session-owned
-            // dedicated context: whether this epoch reuses or rebuilds
-            // depends only on the event history, never on what else the
-            // caller's context solved in between. The epoch's counter
-            // delta is then merged into the caller's context so shard- or
-            // session-level telemetry still accounts for the work.
-            let epoch_entry = *self.epoch_ctx.counters();
-            self.epoch_ctx.counters_mut().inc(Counter::SessionEpochs);
-            self.epoch_ctx
-                .counters_mut()
-                .add(Counter::FrozenTasks, frozen);
-            let lp = match self.cfg.jz.phase1 {
-                Phase1::Lp => solve_allotment_with_releases_reusing(
-                    &mut self.epoch_ctx,
-                    &mut self.epoch_reuse,
-                    &sub,
-                    &releases,
-                    solver,
-                )?,
-                Phase1::Bisection => solve_allotment_bisection_with_releases_reusing(
-                    &mut self.epoch_ctx,
-                    &mut self.epoch_reuse,
-                    &sub,
-                    &releases,
-                    solver,
-                    1e-7,
-                )?,
-            };
-            self.epoch_ctx.counters_mut().inc(Counter::RoundingPasses);
-            let delta = self.epoch_ctx.counters().diff(&epoch_entry);
-            ctx.counters_mut().merge(&delta);
-            lp
-        } else {
-            ctx.counters_mut().inc(Counter::SessionEpochs);
-            ctx.counters_mut().add(Counter::FrozenTasks, frozen);
-            let lp = match self.cfg.jz.phase1 {
-                Phase1::Lp => solve_allotment_with_releases_in(ctx, &sub, &releases, solver)?,
-                Phase1::Bisection => {
-                    solve_allotment_bisection_with_releases_in(ctx, &sub, &releases, solver, 1e-7)?
-                }
-            };
-            ctx.counters_mut().inc(Counter::RoundingPasses);
-            lp
+        // Cross-epoch LP reuse runs through the session-owned dedicated
+        // context: whether this epoch reuses or rebuilds depends only on
+        // the event history, never on what else the caller's context
+        // solved in between. The epoch's counter delta is then merged
+        // into the caller's context so shard- or session-level telemetry
+        // still accounts for the work.
+        let epoch_entry = *self.epoch_ctx.counters();
+        self.epoch_ctx.counters_mut().inc(Counter::SessionEpochs);
+        self.epoch_ctx
+            .counters_mut()
+            .add(Counter::FrozenTasks, frozen);
+        let req = AllotmentRequest {
+            method: self.cfg.jz.phase1,
+            releases: Some(&releases),
+            reuse: Some(&mut self.epoch_reuse),
         };
+        let lp = solve_allotment_with(&mut self.epoch_ctx, &sub, req, &self.cfg.jz.solver)?;
+        self.epoch_ctx.counters_mut().inc(Counter::RoundingPasses);
+        let counters = self.epoch_ctx.counters().diff(&epoch_entry);
+        ctx.counters_mut().merge(&counters);
         let (alloc_prime, _) = round_allotment(&sub, &lp.x, params.rho)?;
         for (k, &j) in pending.iter().enumerate() {
             self.alloc[j] = Some(alloc_prime[k].min(params.mu));
         }
-        let counters = ctx.counters().diff(&counters_at_entry);
         self.epochs.push(EpochStats {
             time: self.now,
             pending: pending.len(),
@@ -698,6 +627,7 @@ impl ScheduleSession {
 mod tests {
     use super::*;
     use mtsp_core::two_phase::schedule_jz;
+    use mtsp_core::Phase1;
     use mtsp_model::generate::{random_instance, CurveFamily, DagFamily};
 
     fn batch_session(ins: &Instance, cfg: SessionConfig) -> ScheduleSession {
@@ -728,83 +658,65 @@ mod tests {
         }
     }
 
-    /// Context reuse across epochs never changes a planned byte, for both
-    /// phase-1 formulations.
+    /// Cross-epoch LP reuse never changes a planned byte: every epoch's
+    /// allotments and `C*` bits equal those of the same event history
+    /// with the reuse handle cleared before every epoch (a full rebuild
+    /// each time), for both phase-1 formulations — and the reuse run
+    /// really does reuse, so the comparison is not vacuous.
     #[test]
-    fn warm_and_cold_sessions_plan_identically() {
+    fn epoch_reuse_plans_identically_to_rebuilding_every_epoch() {
+        type Plan = (Vec<Option<usize>>, u64);
+        let ins = random_instance(DagFamily::Layered, CurveFamily::Mixed, 14, 4, 11);
         for phase1 in [Phase1::Lp, Phase1::Bisection] {
-            let ins = random_instance(DagFamily::SeriesParallel, CurveFamily::Mixed, 16, 4, 9);
-            let run = |reuse_context: bool| -> Vec<(Vec<usize>, u64)> {
+            let run = |rebuild: bool| -> (Vec<Plan>, u64) {
                 let cfg = SessionConfig {
                     jz: JzConfig {
                         phase1,
                         ..JzConfig::default()
                     },
-                    reuse_context,
-                    ..SessionConfig::new()
                 };
                 let mut s = ScheduleSession::new(ins.m(), cfg).unwrap();
-                let mut out = Vec::new();
+                let mut plans = Vec::new();
+                let mut reuses = 0;
+                let mut epoch = |s: &mut ScheduleSession, t: f64| {
+                    if rebuild {
+                        s.epoch_reuse.clear();
+                    }
+                    let e = *s.replan(t).unwrap();
+                    reuses += e.counters.get(Counter::LpReuses);
+                    let alloc = (0..s.n()).map(|j| s.planned_alloc(j)).collect();
+                    plans.push((alloc, e.cstar.to_bits()));
+                };
                 // Tasks arrive two at a time in topological order (a task
                 // can only depend on tasks that already arrived); each
-                // batch is an epoch.
-                let mut t = 0.0;
+                // batch is an epoch, followed by an idle re-plan.
+                let order = ins.dag().topological_order();
                 let mut sess_id = vec![usize::MAX; ins.n()];
-                for (k, &j) in ins.dag().topological_order().iter().enumerate() {
+                let mut t = 0.0;
+                for (k, &j) in order.iter().enumerate() {
                     sess_id[j] = s.arrive(ins.profile(j).clone(), t).unwrap();
                     for &i in ins.dag().preds(j) {
                         s.add_dependency(sess_id[i], sess_id[j], t).unwrap();
                     }
                     if k % 2 == 1 {
-                        let e = *s.replan(t).unwrap();
-                        let alloc = (0..=k).map(|q| s.planned_alloc(q).unwrap()).collect();
-                        out.push((alloc, e.cstar.to_bits()));
+                        epoch(&mut s, t);
+                        epoch(&mut s, t + 0.1);
                         t += 0.5;
                     }
                 }
-                out
-            };
-            assert_eq!(run(true), run(false), "{phase1:?}");
-        }
-    }
-
-    /// Cross-epoch LP reuse on vs off: the planned allotments and epoch
-    /// optima are byte-identical — reuse is purely a latency optimization
-    /// (only pivot counts may differ).
-    #[test]
-    fn epoch_lp_reuse_plans_identically() {
-        for phase1 in [Phase1::Lp, Phase1::Bisection] {
-            let ins = random_instance(DagFamily::Layered, CurveFamily::Mixed, 14, 4, 11);
-            let src = ins.dag().topological_order()[0];
-            let run = |reuse_epoch_lp: bool| -> Vec<(Vec<Option<usize>>, u64)> {
-                let cfg = SessionConfig {
-                    jz: JzConfig {
-                        phase1,
-                        ..JzConfig::default()
-                    },
-                    reuse_epoch_lp,
-                    ..SessionConfig::new()
-                };
-                let mut s = batch_session(&ins, cfg);
-                let mut out = Vec::new();
-                let snap = |s: &ScheduleSession, e: &EpochStats| {
-                    (
-                        (0..ins.n()).map(|j| s.planned_alloc(j)).collect(),
-                        e.cstar.to_bits(),
-                    )
-                };
-                let e = *s.replan(0.0).unwrap();
-                out.push(snap(&s, &e));
-                // One long task starts; every later re-plan sees it as a
+                // One source starts; every later re-plan sees it as a
                 // shifting release — the reuse sweet spot.
-                s.mark_started(src, 0.0).unwrap();
-                for t in [0.2, 0.4, 0.6, 0.8] {
-                    let e = *s.replan(t).unwrap();
-                    out.push(snap(&s, &e));
+                s.mark_started(sess_id[order[0]], t).unwrap();
+                for dt in [0.2, 0.4, 0.6, 0.8] {
+                    epoch(&mut s, t + dt);
                 }
-                out
+                (plans, reuses)
             };
-            assert_eq!(run(true), run(false), "{phase1:?}");
+            let (reused, reuses) = run(false);
+            let (rebuilt, none) = run(true);
+            assert_eq!(reused, rebuilt, "{phase1:?}");
+            assert!(reuses >= 10, "{phase1:?}: only {reuses} reuses");
+            assert_eq!(none, 0, "{phase1:?}: a cleared handle never reuses");
         }
     }
 
@@ -824,7 +736,6 @@ mod tests {
                         phase1,
                         ..JzConfig::default()
                     },
-                    ..SessionConfig::new()
                 },
             )
             .unwrap();
@@ -1010,7 +921,6 @@ mod tests {
                     skip_admissibility_check: true,
                     ..JzConfig::default()
                 },
-                ..SessionConfig::new()
             },
         )
         .unwrap();

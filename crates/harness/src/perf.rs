@@ -26,10 +26,9 @@
 //!   sizes).
 //! * [`measure_epoch_reuse_speedup`]: a noise-only re-plan sequence —
 //!   the same pending suffix re-solved with release times jittered a
-//!   little every epoch — through the cross-epoch reuse entry point
-//!   ([`solve_allotment_bisection_with_releases_reusing`]) vs a fresh
-//!   build + load + cold solve every epoch, which is exactly what a
-//!   session without `reuse_epoch_lp` does. Again bitwise-identical
+//!   little every epoch — through one [`SuffixLpReuse`] handle, as every
+//!   session epoch runs, vs a fresh build + load + cold solve every
+//!   epoch (the same requests without a handle). Again bitwise-identical
 //!   results, ~1.7-1.9x less pivot work with reuse (the remaining cost
 //!   is the deterministic cold extraction at the winning deadline, which
 //!   both sides pay by design).
@@ -41,10 +40,7 @@
 //! (`benches/lp_update.rs`, `benches/session.rs`) carry the wall-clock
 //! versions of the same comparisons at n ≥ 500 for manual perf passes.
 
-use mtsp_core::{
-    solve_allotment_bisection_in, solve_allotment_bisection_with_releases_in,
-    solve_allotment_bisection_with_releases_reusing, SuffixLpReuse,
-};
+use mtsp_core::{solve_allotment_with, AllotmentRequest, Phase1, SuffixLpReuse};
 use mtsp_lp::{SolveContext, SolverOptions};
 use mtsp_model::generate::{random_instance, CurveFamily, DagFamily};
 use mtsp_model::Instance;
@@ -75,6 +71,23 @@ fn pivots(ctx: &SolveContext) -> u64 {
     ctx.counters().get(Counter::SimplexIterations)
 }
 
+/// One bisection solve of `ins` through `ctx`, optionally over release
+/// times and through a reuse handle.
+fn bisection(
+    ctx: &mut SolveContext,
+    ins: &Instance,
+    releases: Option<&[f64]>,
+    reuse: Option<&mut SuffixLpReuse>,
+    opts: &SolverOptions,
+) {
+    let req = AllotmentRequest {
+        method: Phase1::Bisection,
+        releases,
+        reuse,
+    };
+    solve_allotment_with(ctx, ins, req, opts).expect("probe instance solves");
+}
+
 /// Eta-file probe: one bisection deadline sweep on a layered/mixed
 /// instance of `n` tasks and `m` machines, warm (the production path:
 /// the deadline LP is built once and every probe warm-resolves from the
@@ -92,15 +105,15 @@ pub fn measure_ft_resolve_speedup(n: usize, m: usize) -> ProbeOutcome {
     let mut ctx = SolveContext::new();
     // Untimed warm-up so one-time costs (allocation, page faults) land
     // on neither side of the wall ratio.
-    solve_allotment_bisection_in(&mut ctx, &ins, &warm, 1e-7).expect("probe instance solves");
+    bisection(&mut ctx, &ins, None, None, &warm);
     let p0 = pivots(&ctx);
     let t = Instant::now();
-    solve_allotment_bisection_in(&mut ctx, &ins, &warm, 1e-7).expect("probe instance solves");
+    bisection(&mut ctx, &ins, None, None, &warm);
     let warm_wall = t.elapsed();
     let warm_pivots = pivots(&ctx) - p0;
     let p0 = pivots(&ctx);
     let t = Instant::now();
-    solve_allotment_bisection_in(&mut ctx, &ins, &cold, 1e-7).expect("probe instance solves");
+    bisection(&mut ctx, &ins, None, None, &cold);
     let cold_wall = t.elapsed();
     let cold_pivots = pivots(&ctx) - p0;
     ProbeOutcome {
@@ -124,10 +137,9 @@ fn noisy_releases(ins: &Instance, k: usize) -> Vec<f64> {
 /// Cross-epoch reuse probe: `epochs` noise-only re-plans of one pending
 /// suffix, with reuse (the suffix LP survives between epochs: release
 /// rows re-aimed in place, bisection continued warm from the previous
-/// epoch's basis) vs per-epoch rebuild (a fresh context every epoch —
-/// build, load, cold solve — which is what a session without
-/// `reuse_epoch_lp` does). Plans are identical either way; the engine
-/// test suite asserts it.
+/// epoch's basis, as every session epoch runs) vs per-epoch rebuild (a
+/// fresh context every epoch — build, load, cold solve). Plans are
+/// identical either way; the core and engine test suites assert it.
 pub fn measure_epoch_reuse_speedup(n: usize, m: usize, epochs: usize) -> ProbeOutcome {
     let ins = random_instance(DagFamily::Layered, CurveFamily::Mixed, n, m, 11);
     let opts = SolverOptions::default();
@@ -136,14 +148,7 @@ pub fn measure_epoch_reuse_speedup(n: usize, m: usize, epochs: usize) -> ProbeOu
     let mut rebuild_pivots = 0u64;
     for k in 1..=epochs {
         let mut ctx = SolveContext::new();
-        solve_allotment_bisection_with_releases_in(
-            &mut ctx,
-            &ins,
-            &noisy_releases(&ins, k),
-            &opts,
-            1e-7,
-        )
-        .expect("probe instance solves");
+        bisection(&mut ctx, &ins, Some(&noisy_releases(&ins, k)), None, &opts);
         rebuild_pivots += pivots(&ctx);
     }
     let rebuild_wall = t.elapsed();
@@ -153,27 +158,13 @@ pub fn measure_epoch_reuse_speedup(n: usize, m: usize, epochs: usize) -> ProbeOu
     // Epoch 0 pays the one build the reuse path amortizes; it is outside
     // the measured window on both sides (the rebuild loop pays its build
     // inside every epoch — that is the point of the comparison).
-    solve_allotment_bisection_with_releases_reusing(
-        &mut ctx,
-        &mut reuse,
-        &ins,
-        &noisy_releases(&ins, 0),
-        &opts,
-        1e-7,
-    )
-    .expect("probe instance solves");
+    let releases = noisy_releases(&ins, 0);
+    bisection(&mut ctx, &ins, Some(&releases), Some(&mut reuse), &opts);
     let p0 = pivots(&ctx);
     let t = Instant::now();
     for k in 1..=epochs {
-        solve_allotment_bisection_with_releases_reusing(
-            &mut ctx,
-            &mut reuse,
-            &ins,
-            &noisy_releases(&ins, k),
-            &opts,
-            1e-7,
-        )
-        .expect("probe instance solves");
+        let releases = noisy_releases(&ins, k);
+        bisection(&mut ctx, &ins, Some(&releases), Some(&mut reuse), &opts);
     }
     let reuse_wall = t.elapsed();
     let reuse_pivots = pivots(&ctx) - p0;

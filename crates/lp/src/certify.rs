@@ -24,8 +24,8 @@ use crate::simplex::{Solution, Status};
 ///
 /// Returns `Err` with a human-readable reason on the first violated
 /// condition. Only meaningful for solutions from the revised simplex
-/// (which populates `duals`); presolved or reference-tableau solutions
-/// carry zero duals and should be checked for primal feasibility only.
+/// (which populates `duals`); reference-tableau solutions carry zero
+/// duals and should be checked for primal feasibility only.
 #[allow(clippy::needless_range_loop)] // variable index pairs x/bounds/d
 pub fn verify_optimality(lp: &Lp, sol: &Solution, tol: f64) -> Result<(), String> {
     if sol.status != Status::Optimal {

@@ -22,6 +22,9 @@
 //!   previous basis instead of solving cold;
 //! * [`tableau`] — an independent dense two-phase *tableau* simplex used as
 //!   a cross-checking reference implementation in tests and benches;
+//! * [`certify`] — [`verify_optimality`], a KKT certificate check of an
+//!   optimal revised-simplex solution, the oracle the test suites (the
+//!   phase-1 LPs of `mtsp-core` included) certify answers with;
 //! * [`dense`] — the small dense-matrix kernel (Gauss–Jordan inversion)
 //!   used for basis refactorization and by the reference solver.
 //!
@@ -68,7 +71,6 @@ pub mod context;
 pub mod dense;
 pub mod error;
 mod eta;
-pub mod presolve;
 pub mod problem;
 pub mod simplex;
 pub mod sparse;
@@ -78,7 +80,6 @@ pub use certify::verify_optimality;
 pub use context::SolveContext;
 pub use error::LpError;
 pub use mtsp_obs::{Counter, Counters};
-pub use presolve::{presolve, solve_presolved, Presolved};
 pub use problem::{Lp, Relation, VarId};
 pub use simplex::{Solution, SolverOptions, Status};
 pub use sparse::CscMatrix;

@@ -1,9 +1,8 @@
 //! Classical LP test problems: known optima, adversarial pivoting
 //! behaviour (Klee–Minty), structured degeneracy (assignment), and a
-//! transportation instance — exercised against both solvers and the
-//! presolved path.
+//! transportation instance — exercised against both solvers.
 
-use mtsp_lp::{solve_presolved, tableau, Lp, Relation, SolverOptions, Status};
+use mtsp_lp::{tableau, Lp, Relation, Status};
 
 fn check_all(lp: &Lp, expect: f64) {
     let a = lp.solve().expect("revised simplex");
@@ -21,14 +20,6 @@ fn check_all(lp: &Lp, expect: f64) {
         (b.objective - expect).abs() < 1e-6 * (1.0 + expect.abs()),
         "tableau: {} vs {expect}",
         b.objective
-    );
-
-    let c = solve_presolved(lp, &SolverOptions::default()).expect("presolved");
-    assert_eq!(c.status, Status::Optimal);
-    assert!(
-        (c.objective - expect).abs() < 1e-6 * (1.0 + expect.abs()),
-        "presolved: {} vs {expect}",
-        c.objective
     );
 }
 

@@ -228,22 +228,4 @@ proptest! {
         prop_assert_eq!(&through_ctx.x, &fresh.x);
         prop_assert_eq!(&through_ctx.duals, &fresh.duals);
     }
-
-    #[test]
-    fn presolve_preserves_status_and_value(r in random_lp()) {
-        let lp = build(&r);
-        let raw = lp.solve().expect("raw solve failed");
-        let pre = mtsp_lp::solve_presolved(&lp, &mtsp_lp::SolverOptions::default())
-            .expect("presolved solve failed");
-        prop_assert_eq!(raw.status, pre.status, "status mismatch");
-        if raw.status == Status::Optimal {
-            prop_assert!(
-                (raw.objective - pre.objective).abs() <= 1e-6 * (1.0 + raw.objective.abs()),
-                "objective mismatch: raw {} vs presolved {}",
-                raw.objective,
-                pre.objective
-            );
-            prop_assert!(lp.infeasibility_at(&pre.x) < 1e-6);
-        }
-    }
 }

@@ -269,6 +269,29 @@ mod tests {
         assert_eq!(fwd, rev);
     }
 
+    /// `docs/OBSERVABILITY.md` documents the registry: its counter table
+    /// lists every wire name in `Counter::ALL` order, and the `[u64; N]`
+    /// it quotes is the real size.
+    #[test]
+    fn observability_doc_matches_the_registry() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc
+            .split("## Deterministic counters")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("doc has a Deterministic counters section");
+        let wire: Vec<&str> = section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| l.split('|').nth(2).expect("wire name column").trim())
+            .map(|cell| cell.trim_matches('`'))
+            .collect();
+        let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(wire, names);
+        let size = format!("`[u64; {}]`", Counter::ALL.len());
+        assert!(section.contains(&size), "doc must quote {size}");
+    }
+
     #[test]
     fn render_lists_every_counter_once() {
         let mut c = Counters::new();

@@ -15,8 +15,9 @@
 //!   [`NoiseModel::None`] reproduces `mtsp_core::list_schedule` on the
 //!   session's (= the batch pipeline's) allotments *bit-exactly*;
 //! * **determinism** — the realized schedule and every epoch's plan are
-//!   pure functions of `(scenario, config, seed)`; warm LP contexts only
-//!   change re-plan latency, never a byte (asserted in tests).
+//!   pure functions of `(scenario, config, seed)`; warm LP starts and
+//!   cross-epoch LP reuse only change re-plan latency, never a byte
+//!   (asserted in the engine's session tests).
 
 use crate::error::SimError;
 use crate::online::{draw_noise_factors, NoiseModel};
@@ -31,8 +32,8 @@ use std::time::Duration;
 /// Replay configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayConfig {
-    /// Planner configuration (phase-1 formulation, parameters, context
-    /// reuse; the dispatch tie-break comes from `session.jz.priority`).
+    /// Planner configuration (phase-1 formulation, parameters; the
+    /// dispatch tie-break comes from `session.jz.priority`).
     pub session: SessionConfig,
     /// Execution-time noise applied to realized durations.
     pub noise: NoiseModel,
@@ -412,7 +413,6 @@ mod tests {
                             priority: prio,
                             ..JzConfig::default()
                         },
-                        ..SessionConfig::new()
                     },
                     noise: NoiseModel::None,
                     seed,
@@ -427,9 +427,10 @@ mod tests {
     }
 
     /// Staggered arrivals under noise stay feasible and deterministic,
-    /// with one epoch per distinct arrival time, warm or cold.
+    /// with one epoch per distinct arrival time, for both phase-1
+    /// formulations.
     #[test]
-    fn staggered_arrivals_are_feasible_and_warm_cold_identical() {
+    fn staggered_arrivals_are_feasible_and_deterministic() {
         let ins = random(16, 4, 11);
         let order = ins.dag().topological_order();
         let mut arrival = vec![0.0; ins.n()];
@@ -441,15 +442,13 @@ mod tests {
         times.sort_unstable();
         times.dedup();
         let distinct_arrivals = times.len();
-        let run = |reuse_context: bool, phase1: Phase1| {
+        let run = |phase1: Phase1| {
             let cfg = ReplayConfig {
                 session: SessionConfig {
                     jz: JzConfig {
                         phase1,
                         ..JzConfig::default()
                     },
-                    reuse_context,
-                    ..SessionConfig::new()
                 },
                 noise: NoiseModel::Uniform { epsilon: 0.2 },
                 seed: 5,
@@ -457,17 +456,16 @@ mod tests {
             replay(&sc, &cfg).unwrap()
         };
         for phase1 in [Phase1::Lp, Phase1::Bisection] {
-            let warm = run(true, phase1);
-            let cold = run(false, phase1);
-            assert_eq!(warm.schedule, cold.schedule, "{phase1:?}");
-            assert_eq!(warm.epochs.len(), distinct_arrivals, "{phase1:?}");
-            assert!(replay_feasible(&sc, &warm.schedule), "{phase1:?}");
-            for e in &warm.epochs {
+            let out = run(phase1);
+            assert_eq!(out.schedule, run(phase1).schedule, "{phase1:?}");
+            assert_eq!(out.epochs.len(), distinct_arrivals, "{phase1:?}");
+            assert!(replay_feasible(&sc, &out.schedule), "{phase1:?}");
+            for e in &out.epochs {
                 assert!(e.cstar.is_finite() && e.cstar >= 0.0);
             }
             // Later epochs re-plan strictly fewer tasks than arrived in
             // total: the committed prefix is frozen.
-            assert!(warm.epochs[3].pending <= sc.ins.n());
+            assert!(out.epochs[3].pending <= sc.ins.n());
         }
     }
 
