@@ -1,4 +1,4 @@
-//! Forrest–Tomlin (eta-file) update economics: warm `resolve` against the
+//! Product-form (PFI, eta-file) update economics: warm `resolve` against the
 //! refactorize-per-resolve baseline on the bisection's deadline-sweep
 //! access pattern, up to n ≥ 500.
 //!

@@ -121,26 +121,41 @@ impl Matrix {
 
     /// Inverse by Gauss–Jordan elimination with partial pivoting.
     ///
-    /// Returns `None` if a pivot smaller than `tol` (relative to the
-    /// largest remaining entry) is encountered, i.e. the matrix is
-    /// (numerically) singular.
+    /// Returns `None` if the largest remaining |entry| of a pivot column
+    /// is at most `tol` — an absolute threshold, not one relative to the
+    /// matrix scale — i.e. the matrix is (numerically) singular.
     pub fn inverse(&self, tol: f64) -> Option<Matrix> {
-        let mut scratch = Matrix::zeros(0, 0);
+        let mut scratch = InverseScratch::new();
         let mut out = Matrix::zeros(0, 0);
         self.inverse_into(tol, &mut scratch, &mut out)
             .then_some(out)
     }
 
     /// Allocation-free form of [`Matrix::inverse`]: `scratch` receives a
-    /// working copy of `self`, `out` the inverse. Both are reshaped as
-    /// needed, so repeated refactorizations reuse their buffers. The
-    /// elimination sequence is identical to [`Matrix::inverse`].
-    pub fn inverse_into(&self, tol: f64, scratch: &mut Matrix, out: &mut Matrix) -> bool {
+    /// working copy of `self` and the pivot-row patterns, `out` the
+    /// inverse. Both are reshaped as needed, so repeated refactorizations
+    /// reuse their buffers. The elimination sequence and the absolute
+    /// singularity test are identical to [`Matrix::inverse`].
+    pub fn inverse_into(&self, tol: f64, scratch: &mut InverseScratch, out: &mut Matrix) -> bool {
+        self.gauss_jordan(tol, scratch, out).is_ok()
+    }
+
+    /// Pattern-aware Gauss–Jordan elimination: normalizes and eliminates
+    /// only over the nonzero entries of the pivot row — those of `a` right
+    /// of the pivot (the columns at or left of it are never read again)
+    /// and those of `inv`. A skipped entry would only add or subtract ±0,
+    /// so every nonzero of the inverse is bit-identical to the dense loop.
+    /// `Err(col)` names the column whose pivot fell to `tol` or below.
+    fn gauss_jordan(
+        &self,
+        tol: f64,
+        scratch: &mut InverseScratch,
+        inv: &mut Matrix,
+    ) -> Result<(), usize> {
         assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
         let n = self.rows;
-        let a = scratch;
+        let InverseScratch { a, a_row, inv_row } = scratch;
         a.copy_from(self);
-        let inv = out;
         inv.set_identity(n);
         for col in 0..n {
             // Partial pivoting: the largest |entry| in this column at or
@@ -155,17 +170,15 @@ impl Matrix {
                 }
             }
             if best <= tol {
-                return false;
+                return Err(col);
             }
             if piv != col {
                 a.swap_rows(piv, col);
                 inv.swap_rows(piv, col);
             }
             let d = a[(col, col)];
-            for j in 0..n {
-                a[(col, j)] /= d;
-                inv[(col, j)] /= d;
-            }
+            normalize_pattern(&mut a.row_mut(col)[col + 1..], col + 1, d, a_row);
+            normalize_pattern(inv.row_mut(col), 0, d, inv_row);
             for r in 0..n {
                 if r == col {
                     continue;
@@ -174,13 +187,17 @@ impl Matrix {
                 if f == 0.0 {
                     continue;
                 }
-                for j in 0..n {
-                    a[(r, j)] -= f * a[(col, j)];
-                    inv[(r, j)] -= f * inv[(col, j)];
+                let ar = a.row_mut(r);
+                for &(j, v) in a_row.iter() {
+                    ar[j] -= f * v;
+                }
+                let ir = inv.row_mut(r);
+                for &(j, v) in inv_row.iter() {
+                    ir[j] -= f * v;
                 }
             }
         }
-        true
+        Ok(())
     }
 
     /// Dot product of row `r` with `v`, accumulated left to right — the
@@ -238,6 +255,47 @@ impl Matrix {
     }
 }
 
+/// Reusable scratch of [`Matrix::inverse_into`]: the elimination's
+/// working copy plus the nonzero pattern of the current pivot row (of the
+/// working copy and of the inverse), so repeated refactorizations
+/// allocate nothing once the buffers have grown.
+#[derive(Debug, Clone)]
+pub struct InverseScratch {
+    a: Matrix,
+    a_row: Vec<(usize, f64)>,
+    inv_row: Vec<(usize, f64)>,
+}
+
+impl InverseScratch {
+    /// Empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        InverseScratch {
+            a: Matrix::zeros(0, 0),
+            a_row: Vec::new(),
+            inv_row: Vec::new(),
+        }
+    }
+}
+
+impl Default for InverseScratch {
+    fn default() -> Self {
+        InverseScratch::new()
+    }
+}
+
+/// Divides the nonzero entries of `row` (whose first entry is column
+/// `first`) by `d` and records them as `(column, value)` pairs in
+/// `pattern`, ascending. The zeros are left as they are: `±0 / d` is ±0.
+fn normalize_pattern(row: &mut [f64], first: usize, d: f64, pattern: &mut Vec<(usize, f64)>) {
+    pattern.clear();
+    for (j, v) in row.iter_mut().enumerate() {
+        if *v != 0.0 {
+            *v /= d;
+            pattern.push((first + j, *v));
+        }
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -256,6 +314,156 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference dense Gauss–Jordan loop: every column of the pivot row
+    /// normalized and eliminated. The bit-exact oracle of the
+    /// pattern-aware loop; `Err(col)` names the column whose pivot failed.
+    fn gauss_jordan_dense(m: &Matrix, tol: f64) -> Result<Matrix, usize> {
+        let n = m.rows;
+        let mut a = m.clone();
+        let mut inv = Matrix::identity(n);
+        for col in 0..n {
+            let mut piv = col;
+            let mut best = a[(col, col)].abs();
+            for r in col + 1..n {
+                let v = a[(r, col)].abs();
+                if v > best {
+                    best = v;
+                    piv = r;
+                }
+            }
+            if best <= tol {
+                return Err(col);
+            }
+            if piv != col {
+                a.swap_rows(piv, col);
+                inv.swap_rows(piv, col);
+            }
+            let d = a[(col, col)];
+            for j in 0..n {
+                a[(col, j)] /= d;
+                inv[(col, j)] /= d;
+            }
+            for r in 0..n {
+                if r == col {
+                    continue;
+                }
+                let f = a[(r, col)];
+                if f == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    a[(r, j)] -= f * a[(col, j)];
+                    inv[(r, j)] -= f * inv[(col, j)];
+                }
+            }
+        }
+        Ok(inv)
+    }
+
+    /// Runs both eliminations on `m` and asserts they agree: the same
+    /// failing column, or inverses equal under `==` with equal bits
+    /// wherever nonzero.
+    fn assert_matches_dense(m: &Matrix, scratch: &mut InverseScratch) {
+        let mut got = Matrix::zeros(0, 0);
+        let sparse = m.gauss_jordan(1e-12, scratch, &mut got);
+        match (sparse, gauss_jordan_dense(m, 1e-12)) {
+            (Ok(()), Ok(want)) => {
+                assert_eq!(got, want);
+                for (g, w) in got.data.iter().zip(&want.data) {
+                    if *w != 0.0 {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{got:?} vs {want:?}");
+                    }
+                }
+            }
+            (s, d) => assert_eq!(s, d.map(|_| ()), "singularity column differs"),
+        }
+    }
+
+    /// A random sparse `n × n` matrix: each entry zero with probability
+    /// `zero_share`, with the diagonal optionally kept nonzero.
+    fn sparse_matrix(n: usize, zero_share: f64, raw: &[(f64, f64)], diag: bool) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let (u, v) = raw[i * n + j];
+                if (diag && i == j) || u >= zero_share {
+                    m[(i, j)] = if v == 0.0 { 1.0 } else { v };
+                }
+            }
+        }
+        m
+    }
+
+    /// Matrices of every shape the basis takes: general sparse, permuted
+    /// (a row permutation of a nonsingular triangular matrix, so pivoting
+    /// swaps rows), triangular, and singular (a duplicated or zero row).
+    fn matrix_case() -> impl Strategy<Value = Matrix> {
+        (1usize..9, 0.0f64..0.9, 0usize..4).prop_flat_map(|(n, zero_share, kind)| {
+            (
+                proptest::collection::vec((0.0f64..1.0, -4.0f64..4.0), n * n),
+                proptest::collection::vec(0usize..n, n),
+            )
+                .prop_map(move |(raw, picks)| match kind {
+                    0 => sparse_matrix(n, zero_share, &raw, false),
+                    1 | 2 => {
+                        let mut t = sparse_matrix(n, zero_share, &raw, true);
+                        for i in 0..n {
+                            for j in 0..i {
+                                t[(i, j)] = 0.0;
+                            }
+                        }
+                        if kind == 1 {
+                            for (i, &p) in picks.iter().enumerate() {
+                                t.swap_rows(i, p);
+                            }
+                        }
+                        t
+                    }
+                    _ => {
+                        let mut s = sparse_matrix(n, zero_share, &raw, true);
+                        let (i, j) = (picks[0], picks[n - 1]);
+                        if i == j {
+                            s.row_mut(i).fill(0.0);
+                        } else {
+                            let dup = s.row(i).to_vec();
+                            s.row_mut(j).copy_from_slice(&dup);
+                        }
+                        s
+                    }
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn pattern_aware_inverse_matches_dense_oracle_bit_for_bit(m in matrix_case()) {
+            // One scratch across cases, as in the simplex core.
+            thread_local! {
+                static SCRATCH: std::cell::RefCell<InverseScratch> =
+                    std::cell::RefCell::new(InverseScratch::new());
+            }
+            SCRATCH.with(|s| assert_matches_dense(&m, &mut s.borrow_mut()));
+        }
+    }
+
+    #[test]
+    fn singular_input_fails_at_the_dense_column() {
+        let mut scratch = InverseScratch::new();
+        // Column 1 is a multiple of column 0: the pivot of column 1 fails.
+        let m = Matrix::from_rows(&[
+            vec![1.0, 2.0, 0.0],
+            vec![3.0, 6.0, 1.0],
+            vec![0.0, 0.0, 5.0],
+        ]);
+        let mut out = Matrix::zeros(0, 0);
+        assert_eq!(m.gauss_jordan(1e-12, &mut scratch, &mut out), Err(1));
+        assert_matches_dense(&m, &mut scratch);
+        assert_matches_dense(&Matrix::zeros(2, 2), &mut scratch);
+    }
 
     #[test]
     fn identity_and_indexing() {
@@ -331,7 +539,7 @@ mod tests {
     #[test]
     fn inverse_into_matches_inverse_and_reuses_buffers() {
         let a = Matrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]);
-        let mut scratch = Matrix::zeros(0, 0);
+        let mut scratch = InverseScratch::new();
         let mut out = Matrix::zeros(0, 0);
         assert!(a.inverse_into(1e-12, &mut scratch, &mut out));
         assert_eq!(out, a.inverse(1e-12).unwrap());

@@ -13,15 +13,22 @@
 //! method:
 //!
 //! * the basis factorization is a dense base inverse `B₀⁻¹` from the last
-//!   Gauss–Jordan refactorization plus a product-form **eta file**
+//!   Gauss–Jordan refactorization plus a product-form (PFI) **eta file**
 //!   ([`crate::eta::EtaFile`]): each pivot appends one O(m) eta update
-//!   (Forrest–Tomlin style) instead of an O(m²) eager inverse update, and
-//!   FTRAN/BTRAN thread through base inverse + etas; a full
-//!   refactorization runs every [`SolverOptions::refactor_interval`]
-//!   pivots as the stability fallback, and the factorization persists
-//!   *across* [`crate::SolveContext::resolve`] calls (bound/rhs/objective
+//!   instead of an O(m²) eager inverse update, and FTRAN/BTRAN thread
+//!   through base inverse + etas; a full refactorization runs every
+//!   [`SolverOptions::refactor_interval`] pivots as the stability
+//!   fallback, and the factorization persists *across*
+//!   [`crate::SolveContext::resolve`] calls (bound/rhs/objective
 //!   mutations leave the basis matrix untouched), so a warm resolve pays
 //!   no refactorization at all on the hot path;
+//! * the factorization kernels skip work on exact zeros only: etas are
+//!   stored sparsely (a dense slab above 2/3 fill), FTRAN skips an eta
+//!   whose multiplier is 0, BTRAN dots only the stored entries, and the
+//!   Gauss–Jordan refactorization eliminates only over the pivot row's
+//!   nonzeros. Each skipped term would add or subtract ±0 and summation
+//!   order is kept, so pivot paths and results are bit-identical to the
+//!   dense kernels;
 //! * pricing is Dantzig (most violating reduced cost) with an automatic
 //!   switch to Bland's rule after a run of degenerate pivots, restoring
 //!   the termination guarantee;
@@ -36,7 +43,7 @@
 //! previous basis after bound/rhs/objective mutations (see the crate docs
 //! for the warm-start contract).
 
-use crate::dense::Matrix;
+use crate::dense::{InverseScratch, Matrix};
 use crate::error::LpError;
 use crate::eta::EtaFile;
 use crate::problem::{Lp, Relation};
@@ -184,8 +191,9 @@ pub(crate) struct Core {
     saved_cost: Vec<f64>,
     /// Basis matrix scratch for refactorization.
     bmat: Matrix,
-    /// Gauss–Jordan working copy for [`Matrix::inverse_into`].
-    inv_scratch: Matrix,
+    /// Gauss–Jordan working copy and pivot-row patterns for
+    /// [`Matrix::inverse_into`].
+    inv_scratch: InverseScratch,
     /// Deterministic event counters, accumulated across every solve this
     /// core runs (never reset by [`Core::load`] — callers snapshot/diff).
     counters: Counters,
@@ -226,7 +234,7 @@ impl Core {
             resid: Vec::new(),
             saved_cost: Vec::new(),
             bmat: Matrix::zeros(0, 0),
-            inv_scratch: Matrix::zeros(0, 0),
+            inv_scratch: InverseScratch::new(),
             counters: Counters::new(),
             stamp: 0,
         }
